@@ -8,7 +8,10 @@ benchmarking scale (N=1e6):
   Python traversal), and
 * ``query_batch`` at B=64 must beat one-at-a-time ``query`` by >= 3x on
   a converged arena-backed GPKD (one shared descent pass and one scan
-  fan-out per batch).
+  fan-out per batch), and
+* over dense windows (selectivity 1e-2, threshold 1024) ``query_batch``
+  must not lose to one-at-a-time ``query`` (>= 1.0x, a fixed floor):
+  the batch routes dense leaf windows through the same fused kernel.
 
 Both ratios are measured interleaved best-of-N in the same process —
 the machine drifts between fast and slow clock modes, and block timing
@@ -24,6 +27,7 @@ from _bench_utils import emit
 from repro.bench.arena_regression import (
     BATCH_SIZE,
     BATCH_THRESHOLD,
+    DENSE_SELECTIVITY,
     LATENCY_THRESHOLD,
     arena_metrics,
 )
@@ -34,6 +38,9 @@ N = int(os.environ.get("REPRO_BENCH_ARENA_N", "1000000"))
 # the descent share both ratios feed on, and CI machines are noisy).
 MIN_ARENA_SPEEDUP = float(os.environ.get("REPRO_BENCH_ARENA_MIN", "1.5"))
 MIN_BATCH_SPEEDUP = float(os.environ.get("REPRO_BENCH_BATCH_MIN", "3.0"))
+# Batching dense windows must never be slower than sending the queries
+# one by one; no override.
+MIN_DENSE_BATCH_SPEEDUP = 1.0
 
 
 def test_arena_lookup_and_batch(benchmark, results_dir):
@@ -48,6 +55,10 @@ def test_arena_lookup_and_batch(benchmark, results_dir):
         [name, doc["batch_us"][name]] for name in ("sequential", "batch")
     ]
     batch_rows.append(["speedup", doc["batch_speedup"]])
+    dense_rows = [
+        [name, doc["dense_batch_us"][name]] for name in ("sequential", "batch")
+    ]
+    dense_rows.append(["speedup", doc["dense_batch_speedup"]])
     text = (
         format_table(
             f"Converged GPKD lookup, N={N:,}, "
@@ -62,6 +73,14 @@ def test_arena_lookup_and_batch(benchmark, results_dir):
             ["path", "value"],
             batch_rows,
         )
+        + "\n\n"
+        + format_table(
+            f"query_batch B={BATCH_SIZE}, N={N:,}, "
+            f"threshold={LATENCY_THRESHOLD}, "
+            f"selectivity={DENSE_SELECTIVITY:g} (us/query)",
+            ["path", "value"],
+            dense_rows,
+        )
     )
     emit(results_dir, "arena.txt", text)
     assert doc["arena_speedup"] >= MIN_ARENA_SPEEDUP, (
@@ -71,4 +90,8 @@ def test_arena_lookup_and_batch(benchmark, results_dir):
     assert doc["batch_speedup"] >= MIN_BATCH_SPEEDUP, (
         f"query_batch B={BATCH_SIZE} {doc['batch_speedup']:.2f}x over "
         f"sequential is below the {MIN_BATCH_SPEEDUP}x gate"
+    )
+    assert doc["dense_batch_speedup"] >= MIN_DENSE_BATCH_SPEEDUP, (
+        f"dense query_batch B={BATCH_SIZE} {doc['dense_batch_speedup']:.2f}x "
+        f"over sequential is below the {MIN_DENSE_BATCH_SPEEDUP}x gate"
     )

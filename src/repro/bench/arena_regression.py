@@ -11,7 +11,11 @@ ratios and machine-bound absolutes:
 * **batch speedup** — ``query_batch`` at ``B=64`` vs one-at-a-time
   ``query`` on the same converged arena-backed index, also interleaved.
   This is the amortisation claim of the batch execution model: one
-  shared descent pass and one scan fan-out per batch.
+  shared descent pass and one residual scan per batch.
+* **dense batch speedup** — the same pair over wide (selectivity
+  :data:`DENSE_SELECTIVITY`) windows on the threshold-1024 index, where
+  residual scans dominate and the batch must route its dense leaf
+  windows through the fused kernel to keep up with per-query dispatch.
 
 Absolute per-query latencies are recorded too, but only compared with a
 deliberately generous slowdown ratio — a canary against order-of-
@@ -52,6 +56,7 @@ __all__ = [
     "BATCH_SIZE",
     "LATENCY_THRESHOLD",
     "BATCH_THRESHOLD",
+    "DENSE_SELECTIVITY",
 ]
 
 #: Queries per ``query_batch`` call in the throughput measurement.
@@ -68,6 +73,12 @@ LATENCY_THRESHOLD = 1024
 #: shares one vectorized descent, and the narrower scan windows keep
 #: both paths' scan cost small.
 BATCH_THRESHOLD = 256
+
+
+#: Per-query selectivity of the dense-batch pair (run on the
+#: ``LATENCY_THRESHOLD`` index): wide enough that most residual leaf
+#: windows keep hundreds of rows.
+DENSE_SELECTIVITY = 1e-2
 
 
 def _converged_index(
@@ -101,6 +112,16 @@ def _narrow_queries(n_dims: int, count: int) -> List[RangeQuery]:
     return [
         RangeQuery(lows, lows + 0.05)
         for lows in (rng.random(n_dims) * 99.0 for _ in range(count))
+    ]
+
+
+def _dense_queries(n_dims: int, count: int) -> List[RangeQuery]:
+    """Hypercubes covering :data:`DENSE_SELECTIVITY` of [0, 100)^d."""
+    rng = np.random.default_rng(29)
+    side = 100.0 * DENSE_SELECTIVITY ** (1.0 / n_dims)
+    return [
+        RangeQuery(lows, lows + side)
+        for lows in (rng.random(n_dims) * (100.0 - side) for _ in range(count))
     ]
 
 
@@ -178,6 +199,21 @@ def arena_metrics(
         {"sequential": run_sequential, "batch": run_batch}, repeats
     )
 
+    dense_workload = _dense_queries(n_dims, queries)
+
+    def run_dense_sequential() -> None:
+        for query in dense_workload:
+            arena_index.query(query)
+
+    def run_dense_batch() -> None:
+        for start in range(0, len(dense_workload), batch):
+            arena_index.query_batch(dense_workload[start : start + batch])
+
+    dense = _interleaved_best(
+        {"sequential": run_dense_sequential, "batch": run_dense_batch},
+        repeats,
+    )
+
     count = len(workload)
     return {
         # cpu_count rides at top level, not buried in meta — the same
@@ -191,6 +227,7 @@ def arena_metrics(
             "batch": batch,
             "latency_threshold": LATENCY_THRESHOLD,
             "batch_threshold": BATCH_THRESHOLD,
+            "dense_selectivity": DENSE_SELECTIVITY,
             "cpu_count": os.cpu_count(),
         },
         "latency_us": {
@@ -202,6 +239,10 @@ def arena_metrics(
             for name, seconds in throughput.items()
         },
         "batch_speedup": throughput["sequential"] / throughput["batch"],
+        "dense_batch_us": {
+            name: seconds / count * 1e6 for name, seconds in dense.items()
+        },
+        "dense_batch_speedup": dense["sequential"] / dense["batch"],
     }
 
 
@@ -286,7 +327,7 @@ def compare(
     else:
         drift.notes.append(f"query_batch {batch_speedup:.2f}x over sequential")
 
-    for key in ("latency_us", "batch_us"):
+    for key in ("latency_us", "batch_us", "dense_batch_us"):
         for name, baseline_us in stored.get(key, {}).items():
             current_us = current[key].get(name)
             if current_us is None:
@@ -342,6 +383,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             f"query_batch B={doc['meta']['batch']}: "
             f"{doc['batch_speedup']:.2f}x over sequential"
+        )
+        print(
+            f"dense query_batch: {doc['dense_batch_speedup']:.2f}x over "
+            f"sequential"
         )
         print(f"baseline written to {args.path}")
         return 0

@@ -308,7 +308,11 @@ class BaseIndex(ABC):
         the sequential path exactly); once the backend reports it can
         batch (KD family, converged), the remaining queries share one
         tree descent pass (vectorized over the arena when present) and
-        one morsel/proc scan fan-out for the whole batch.
+        one residual scan.  Serially that scan is one call of
+        :func:`repro.parallel.executor.scan_windows`, which sends dense
+        leaf windows through the fused kernel one by one and the sparse
+        rest through one shared vectorized pass; with workers it is one
+        morsel/proc fan-out for the whole batch.
 
         Per-query wall-clock ``seconds`` on the batched tail is the batch
         total divided evenly — the counters, not the clock, are the
@@ -397,8 +401,9 @@ class BaseIndex(ABC):
     def _query_batch_converged(
         self, queries: List[RangeQuery]
     ) -> List[QueryResult]:
-        """The batched tail: shared descent, one scan fan-out, per-query
-        stats replicated via the prelude/postlude hooks.
+        """The batched tail: shared descent, one residual scan for the
+        whole batch, per-query stats replicated via the prelude/postlude
+        hooks.
 
         With an arena present and a guaranteed-serial scan tier, the
         whole batch runs array-native (:meth:`_batch_arena_core`) — no
@@ -478,11 +483,12 @@ class BaseIndex(ABC):
         Bit-identical to :meth:`_batch_object_core` by construction —
         the zone tests replicate :meth:`IndexTable.zone_shortcut`, the
         check flags come from the same stored path bounds the scalar
-        search compares against, and the residual scan shares
-        :func:`repro.parallel.executor.scan_windows` with the fused
-        object scan.  Result arrays may be views into shared buffers; a
-        converged index never reorganises rows again, so they stay
-        valid.
+        search compares against, and every residual window goes through
+        one call of :func:`repro.parallel.executor.scan_windows` — the
+        same routed scan (fused kernel per dense window, one vectorized
+        pass over the sparse rest) the serial object path uses.  Result
+        arrays may be views into shared buffers; a converged index never
+        reorganises rows again, so they stay valid.
         """
         (
             leaf_query, leaf_node, visited, boundaries, lows2d, highs2d,
@@ -519,8 +525,9 @@ class BaseIndex(ABC):
         for query_index in leaf_query[contained]:
             stats_list[query_index].contained += 1
 
-        # Residual scans: one shared vector pass over every window the
-        # zone shortcuts could not settle.
+        # Residual scans: every window the zone shortcuts could not
+        # settle goes through one routed call (dense windows run the
+        # fused kernel, sparse ones share a vectorized pass).
         parts: List[Optional[np.ndarray]] = [None] * n_leaves
         residual = np.flatnonzero(~(pruned | contained))
         if residual.size:
@@ -535,22 +542,23 @@ class BaseIndex(ABC):
             need_high = (
                 res_highs < snapshot["path_hi2"][res_node]
             ) & np.isfinite(res_highs)
-            ids, bounds, scanned = parallel_executor.scan_windows(
+            res_zone = has_zone[residual]
+            res_parts, scanned = parallel_executor.scan_windows(
                 index_table.columns,
                 index_table.rowids,
                 los[res_node],
                 sizes[residual],
-                (need_low | need_high).T,
                 np.where(need_low, res_lows, -np.inf).T,
                 np.where(need_high, res_highs, np.inf).T,
+                np.where(res_zone, zone_lo[residual, 0], np.nan),
+                np.where(res_zone, zone_hi[residual, 0], np.nan),
             )
-            for position, (leaf_index, query_index) in enumerate(
-                zip(residual, res_query)
+            for leaf_index, query_index, part, charge in zip(
+                residual.tolist(), res_query.tolist(), res_parts,
+                scanned.tolist(),
             ):
-                stats_list[query_index].scanned += int(scanned[position])
-                parts[leaf_index] = ids[
-                    bounds[position] : bounds[position + 1]
-                ]
+                stats_list[query_index].scanned += charge
+                parts[leaf_index] = part
 
         rowids = index_table.rowids
         rows_per: List[np.ndarray] = []

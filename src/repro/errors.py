@@ -16,6 +16,10 @@ class InvalidQueryError(ReproError):
     """A query is malformed: wrong arity, inverted bounds, or NaN bounds."""
 
 
+class BatchTooLargeError(InvalidQueryError):
+    """A server ``batch`` request carries more queries than allowed."""
+
+
 class InvalidTableError(ReproError):
     """A table is malformed: ragged columns, empty schema, or bad dtypes."""
 

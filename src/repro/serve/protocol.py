@@ -13,7 +13,9 @@ Ops: ``hello``, ``register``, ``open_session``, ``close_session``,
 list of bounds dicts; the response's ``results`` list carries one
 ``count``/``checksum``/``seconds`` payload per query, in order —
 converged KD indexes answer the whole batch with one shared descent and
-one scan fan-out), ``check``, ``stats``, ``metrics`` (Prometheus text
+one residual-scan call that routes each leaf window to the fused kernel
+or a shared vectorized pass; at most :data:`MAX_BATCH_QUERIES` queries),
+``check``, ``stats``, ``metrics`` (Prometheus text
 exposition of the server's telemetry), ``slo`` (per-tenant latency-SLO
 state plus recent watchdog events), ``shutdown``.  ``query``
 additionally accepts a ``trace`` field — a client-chosen request id
@@ -23,6 +25,10 @@ server-side span tree (queue wait, admission, lock wait, scan, and the
 refinement slice the request funded).  All additions are
 backward-compatible: old clients never send ``trace`` or the new ops,
 so the protocol version stays at 1.
+
+A request frame longer than :data:`MAX_FRAME_BYTES` is answered with a
+``frame_too_large`` error; the server drops the frame and keeps the
+connection open.
 
 Two pieces live here because both ends of the wire need them:
 
@@ -49,6 +55,8 @@ from ..errors import InvalidParameterError
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "MAX_FRAME_BYTES",
+    "MAX_BATCH_QUERIES",
     "TABLE_KINDS",
     "TableSpec",
     "answer_checksum",
@@ -60,6 +68,16 @@ __all__ = [
 
 #: Bumped when the frame layout or an op's fields change incompatibly.
 PROTOCOL_VERSION = 1
+
+#: Longest request frame the server reads, newline included.  A full
+#: :data:`MAX_BATCH_QUERIES` batch of 8-column bounds fits with room to
+#: spare; asyncio's 64 KiB default cut off a 600-query 3-column batch.
+MAX_FRAME_BYTES = 1 << 20
+
+#: Most queries one ``batch`` request may carry.  A batch holds its
+#: index's writer lock for its whole run, so the cap bounds how long
+#: one request can block every other writer on that index.
+MAX_BATCH_QUERIES = 1024
 
 #: Synthetic data kinds a :class:`TableSpec` can describe — the same
 #: regimes the fuzzer sweeps: uniform boxes, lognormal skew, and

@@ -59,6 +59,7 @@ from ..core.metrics import QueryStats
 from ..core.progressive_kdtree import CREATION, ProgressiveKDTree
 from ..core.scan import full_scan
 from ..errors import (
+    BatchTooLargeError,
     InvalidParameterError,
     InvalidQueryError,
     InvalidTableError,
@@ -74,6 +75,8 @@ from ..session import TECHNIQUES, resolve_group_query
 from .admission import AdmissionCaps, AdmissionControl, AdmissionError
 from .locks import PieceSnapshotLock
 from .protocol import (
+    MAX_BATCH_QUERIES,
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     TableSpec,
     answer_checksum,
@@ -635,13 +638,21 @@ class IndexServer:
         index's writer lock once and runs :meth:`~repro.core.index_base.
         BaseIndex.query_batch` — so a converged KD index answers the
         whole group with one shared (arena-vectorized) descent and one
-        scan fan-out instead of per-request lock/dispatch round trips.
-        Batches always run in adaptive mode: while the index still
-        adapts the batch drains sequentially inside ``query_batch``,
-        with adaptation order identical to separate ``query`` requests.
+        routed residual scan instead of per-request lock/dispatch round
+        trips.  Batches always run in adaptive mode: while the index
+        still adapts the batch drains sequentially inside
+        ``query_batch``, with adaptation order identical to separate
+        ``query`` requests.  More than :data:`~.protocol.
+        MAX_BATCH_QUERIES` queries raise :class:`~repro.errors.
+        BatchTooLargeError` before any lock is taken.
         """
         if not bounds_list:
             raise InvalidQueryError("a batch needs at least one query")
+        if len(bounds_list) > MAX_BATCH_QUERIES:
+            raise BatchTooLargeError(
+                f"a batch holds at most {MAX_BATCH_QUERIES} queries, got "
+                f"{len(bounds_list)}; split it"
+            )
         session = self._session(session_id)
         shared = self._table(table_name)
         resolved = []
@@ -1001,26 +1012,39 @@ class IndexServer:
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    request = decode_frame(line)
-                except ValueError as error:
-                    response = error_response(
-                        {}, "protocol", f"malformed frame: {error}"
-                    )
-                else:
-                    if request.get("op") == "shutdown":
-                        writer.write(encode_frame(ok_response(request)))
-                        await writer.drain()
-                        self._shutdown_event.set()
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as error:
+                    line = error.partial  # EOF: a final unterminated frame
+                except asyncio.LimitOverrunError:
+                    if not await _discard_frame(reader):
                         break
-                    response = await self._handle_request(request, loop)
+                    line = None
+                except ConnectionError:
+                    break
+                if line is None:
+                    response = error_response(
+                        {}, "frame_too_large",
+                        f"request frames are limited to {MAX_FRAME_BYTES} "
+                        f"bytes; the frame was dropped",
+                    )
+                elif not line:
+                    break
+                elif not line.strip():
+                    continue
+                else:
+                    try:
+                        request = decode_frame(line)
+                    except ValueError as error:
+                        response = error_response(
+                            {}, "protocol", f"malformed frame: {error}"
+                        )
+                    else:
+                        if request.get("op") == "shutdown":
+                            writer.write(encode_frame(ok_response(request)))
+                            await writer.drain()
+                            self._shutdown_event.set()
+                            break
+                        response = await self._handle_request(request, loop)
                 writer.write(encode_frame(response))
                 try:
                     await writer.drain()
@@ -1044,7 +1068,8 @@ class IndexServer:
         )
         self._shutdown_event = asyncio.Event()
         server = await asyncio.start_server(
-            self._handle_connection, host=host, port=port
+            self._handle_connection, host=host, port=port,
+            limit=MAX_FRAME_BYTES,
         )
         self.bound_address = server.sockets[0].getsockname()[:2]
         try:
@@ -1053,6 +1078,19 @@ class IndexServer:
         finally:
             self._executor.shutdown(wait=True)
             self.close()
+
+
+async def _discard_frame(reader: asyncio.StreamReader) -> bool:
+    """Drop input through the next newline after a frame overran the
+    reader's limit; False when the peer closed first."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as error:
+            await reader.readexactly(error.consumed)
+        except (asyncio.IncompleteReadError, ConnectionError):
+            return False
 
 
 class ServerThread:

@@ -371,7 +371,7 @@ class ExplorationSession:
         high)``).  Queries are grouped by queried column set and each
         group runs through its index's :meth:`~repro.core.index_base.
         BaseIndex.query_batch` — so a converged KD index answers the
-        whole group with one shared descent and one scan fan-out instead
+        whole group with one shared descent and one residual scan instead
         of per-query dispatches.  Results come back in submission order;
         within a column group the answers and work counters are exactly
         what the equivalent :meth:`query` loop would have produced.

@@ -27,6 +27,7 @@ from repro.core import GreedyProgressiveKDTree, RangeQuery
 from repro.core.arena import Arena, arena_default, set_arena_default
 from repro.core.kdtree import KDTree
 from repro.core.metrics import QueryStats
+from repro.core.table import Table
 from repro.errors import IndexStateError
 from repro.fuzz import BACKENDS, FuzzCase, build_workload, make_backend
 from repro.invariants import assert_invariants
@@ -297,6 +298,77 @@ class TestQueryBatch:
         answers = index.query_batch(queries)
         shares = {round(a.stats.seconds, 12) for a in answers if a.stats.converged}
         assert len(shares) <= 2  # converged tail shares one per-batch cost
+
+
+class TestBatchRouting:
+    """``executor.scan_windows`` sends dense residual windows to the fused
+    kernel and sparse ones through the shared vectorized pass; one batch
+    mixing both must answer and count exactly like per-query dispatch."""
+
+    ROWS = 60_000
+    THRESHOLD = 1_024
+
+    def _converged(self, columns):
+        index = GreedyProgressiveKDTree(
+            Table([column.copy() for column in columns]),
+            delta=1.0,
+            size_threshold=self.THRESHOLD,
+        )
+        rng = np.random.default_rng(61)
+        while not index.converged:
+            lows = rng.random(len(columns)) * 95.0
+            index.query(RangeQuery(lows, lows + 5.0))
+        return index
+
+    def _mixed_batch(self, n_dims):
+        """Point-ish (sel 1e-7) and dense (sel 1e-2) windows, interleaved."""
+        rng = np.random.default_rng(62)
+        queries = []
+        for position in range(24):
+            side = 100.0 * (1e-2 if position % 2 else 1e-7) ** (1 / n_dims)
+            lows = rng.random(n_dims) * (100.0 - side)
+            queries.append(RangeQuery(lows, lows + side))
+        return queries
+
+    @pytest.mark.parametrize("arena", [True, False], ids=["arena", "object"])
+    @pytest.mark.parametrize("kernel", ["numpy", "reference"])
+    def test_mixed_routes_match_per_query(self, monkeypatch, arena, kernel):
+        from repro import kernels
+        from repro.parallel import executor
+
+        previous = kernels.active_name()
+        kernels.use(kernel)
+        set_arena_default(arena)
+        try:
+            rng = np.random.default_rng(60)
+            columns = [rng.random(self.ROWS) * 100.0 for _ in range(2)]
+            sequential = self._converged(columns)
+            batched = self._converged(columns)
+            queries = self._mixed_batch(2)
+            want = [sequential.query(query) for query in queries]
+
+            routes = {"kernel": 0, "vector": 0}
+            range_scan = kernels.range_scan
+            vector_windows = executor._vector_windows
+
+            def counted_scan(*args, **kwargs):
+                routes["kernel"] += 1
+                return range_scan(*args, **kwargs)
+
+            def counted_vector(*args, **kwargs):
+                routes["vector"] += 1
+                return vector_windows(*args, **kwargs)
+
+            monkeypatch.setattr(kernels, "range_scan", counted_scan)
+            monkeypatch.setattr(executor, "_vector_windows", counted_vector)
+            got = batched.query_batch(queries)
+        finally:
+            kernels.use(previous)
+        assert routes["kernel"] > 1 and routes["vector"] == 1
+        assert (batched.tree.arena is not None) == arena
+        for result, expected in zip(got, want):
+            assert np.array_equal(result.row_ids, expected.row_ids)
+            assert _counters(result.stats) == _counters(expected.stats)
 
 
 class TestSessionRunBatch:

@@ -17,7 +17,7 @@ import pytest
 
 from repro import kernels
 from repro.core.metrics import QueryStats
-from repro.errors import InvalidTableError
+from repro.errors import BatchTooLargeError, InvalidTableError
 from repro.serve import (
     AdmissionCaps,
     AdmissionControl,
@@ -33,6 +33,8 @@ from repro.serve import (
     answer_checksum,
 )
 from repro.serve.protocol import (
+    MAX_BATCH_QUERIES,
+    MAX_FRAME_BYTES,
     decode_frame,
     encode_frame,
     error_response,
@@ -426,6 +428,23 @@ class TestIndexServerCore:
         finally:
             server.close()
 
+    def test_batch_over_the_cap_is_refused_before_any_lock(self):
+        server, _ = _spec_server()
+        try:
+            session = server.open_session("a")
+            bounds_list = [{"c0": (0.0, 50.0)}] * (MAX_BATCH_QUERIES + 1)
+            with pytest.raises(BatchTooLargeError):
+                server.execute_batch(session, "t", bounds_list)
+            # Refused before the session's index (and its lock) existed.
+            assert server._sessions[session].indexes == {}
+            assert server.stats()["queries_total"] == 0
+            response = server.execute_batch(
+                session, "t", bounds_list[:MAX_BATCH_QUERIES]
+            )
+            assert response["batch"] == MAX_BATCH_QUERIES
+        finally:
+            server.close()
+
     def test_stats_shape(self):
         server, _ = _spec_server()
         try:
@@ -567,6 +586,36 @@ class TestSocketRoundTrip:
                 assert response["error"] == "protocol"
                 # The connection still works afterwards.
                 assert client.hello()["ok"] is True
+                client.shutdown()
+
+    def test_oversized_frame_is_a_typed_error_and_keeps_the_socket(self):
+        with ServerThread(IndexServer()) as handle:
+            with ServeClient(handle.host, handle.port) as client:
+                padding = b"x" * MAX_FRAME_BYTES
+                client._sock.sendall(
+                    b'{"op":"hello","id":1,"pad":"' + padding + b'"}\n'
+                )
+                response = decode_frame(client._file.readline())
+                assert response["ok"] is False
+                assert response["error"] == "frame_too_large"
+                # The rest of the oversized frame was discarded; the next
+                # request on the same socket is answered normally.
+                assert client.hello()["ok"] is True
+                client.shutdown()
+
+    def test_batch_over_the_cap_is_a_typed_error_on_the_wire(self):
+        spec = TableSpec("wire", "uniform", 2_000, 3, seed=3)
+        with ServerThread(IndexServer(size_threshold=256)) as handle:
+            with ServeClient(handle.host, handle.port) as client:
+                client.register_spec(spec)
+                session = client.open_session("t")
+                bounds = {"c0": (1.5, 2.5), "c1": (1.5, 2.5), "c2": (1.5, 2.5)}
+                with pytest.raises(ServeClientError) as excinfo:
+                    client.batch(
+                        session, "wire", [bounds] * (MAX_BATCH_QUERIES + 1)
+                    )
+                assert excinfo.value.error == "BatchTooLargeError"
+                assert client.batch(session, "wire", [bounds])["batch"] == 1
                 client.shutdown()
 
     def test_no_threads_leak_after_stop(self):
