@@ -1,6 +1,6 @@
-"""Flat-arena benchmarks: converged lookup latency and batch throughput.
+"""Flat-arena benchmarks: converged lookup, batch throughput, refinement.
 
-Two gates ride on the arena (:mod:`repro.core.arena`) at full
+Four gates ride on the arena-era GPKD (:mod:`repro.core.arena`) at full
 benchmarking scale (N=1e6):
 
 * the arena-backed converged lookup must beat the object-tree lookup by
@@ -11,9 +11,12 @@ benchmarking scale (N=1e6):
   fan-out per batch), and
 * over dense windows (selectivity 1e-2, threshold 1024) ``query_batch``
   must not lose to one-at-a-time ``query`` (>= 1.0x, a fixed floor):
-  the batch routes dense leaf windows through the same fused kernel.
+  the batch routes dense leaf windows through the same fused kernel, and
+* refining a fresh GPKD to convergence with full-domain slices must cost
+  at most 1.5x as many ns per row at N as at N/8 (a fixed ceiling): the
+  piece pick for a full-domain probe must not walk the tree.
 
-Both ratios are measured interleaved best-of-N in the same process —
+Every ratio is measured interleaved best-of-N in the same process —
 the machine drifts between fast and slow clock modes, and block timing
 would bias the ratios.  ``REPRO_BENCH_ARENA_N`` scales the row count
 down for smoke runs, and ``REPRO_BENCH_ARENA_MIN`` /
@@ -41,6 +44,9 @@ MIN_BATCH_SPEEDUP = float(os.environ.get("REPRO_BENCH_BATCH_MIN", "3.0"))
 # Batching dense windows must never be slower than sending the queries
 # one by one; no override.
 MIN_DENSE_BATCH_SPEEDUP = 1.0
+# Per-row refinement cost may grow at most this much over an 8x larger
+# table; no override.
+MAX_REFINE_SCALING = 1.5
 
 
 def test_arena_lookup_and_batch(benchmark, results_dir):
@@ -59,6 +65,10 @@ def test_arena_lookup_and_batch(benchmark, results_dir):
         [name, doc["dense_batch_us"][name]] for name in ("sequential", "batch")
     ]
     dense_rows.append(["speedup", doc["dense_batch_speedup"]])
+    refine_rows = [
+        [f"{name} rows", ns] for name, ns in doc["refine_ns_per_row"].items()
+    ]
+    refine_rows.append(["n / (n/8)", doc["refine_scaling"]])
     text = (
         format_table(
             f"Converged GPKD lookup, N={N:,}, "
@@ -81,6 +91,13 @@ def test_arena_lookup_and_batch(benchmark, results_dir):
             ["path", "value"],
             dense_rows,
         )
+        + "\n\n"
+        + format_table(
+            f"Full-domain refinement to convergence, N={N:,}, "
+            f"threshold={LATENCY_THRESHOLD} (ns/row)",
+            ["rows", "value"],
+            refine_rows,
+        )
     )
     emit(results_dir, "arena.txt", text)
     assert doc["arena_speedup"] >= MIN_ARENA_SPEEDUP, (
@@ -94,4 +111,8 @@ def test_arena_lookup_and_batch(benchmark, results_dir):
     assert doc["dense_batch_speedup"] >= MIN_DENSE_BATCH_SPEEDUP, (
         f"dense query_batch B={BATCH_SIZE} {doc['dense_batch_speedup']:.2f}x "
         f"over sequential is below the {MIN_DENSE_BATCH_SPEEDUP}x gate"
+    )
+    assert doc["refine_scaling"] <= MAX_REFINE_SCALING, (
+        f"refinement ns/row at N is {doc['refine_scaling']:.2f}x its N/8 "
+        f"value, above the {MAX_REFINE_SCALING}x gate"
     )

@@ -16,6 +16,12 @@ ratios and machine-bound absolutes:
   :data:`DENSE_SELECTIVITY`) windows on the threshold-1024 index, where
   residual scans dominate and the batch must route its dense leaf
   windows through the fused kernel to keep up with per-query dispatch.
+* **refinement scaling** — wall nanoseconds per refined row when
+  full-domain slices (the serve scheduler's probe) drive a fresh GPKD
+  from the end of creation to convergence, at ``n`` and ``n / 8``
+  rows.  Their ratio is portable: a piece pick that walks the tree
+  makes the per-row cost grow with the leaf count, a constant-cost
+  pick keeps it flat.
 
 Absolute per-query latencies are recorded too, but only compared with a
 deliberately generous slowdown ratio — a canary against order-of-
@@ -30,6 +36,9 @@ Usage::
     python -m repro.bench.arena_regression record BENCH_arena.json
     python -m repro.bench.arena_regression compare BENCH_arena.json \
         --n 200000 --min-arena 1.2 --min-batch 2.0 --slowdown 10
+
+``compare`` also holds ``refine_scaling`` under
+:data:`CI_MAX_REFINE_SCALING`.
 """
 
 from __future__ import annotations
@@ -45,8 +54,10 @@ import numpy as np
 
 from ..core.arena import arena_default, set_arena_default
 from ..core.greedy_progressive import GreedyProgressiveKDTree
+from ..core.metrics import QueryStats
 from ..core.query import RangeQuery
 from ..core.table import Table
+from ..serve.scheduler import SLICE_ROWS
 from .kernel_regression import BaselineProvenanceError, PerfDrift
 
 __all__ = [
@@ -57,6 +68,7 @@ __all__ = [
     "LATENCY_THRESHOLD",
     "BATCH_THRESHOLD",
     "DENSE_SELECTIVITY",
+    "CI_MAX_REFINE_SCALING",
 ]
 
 #: Queries per ``query_batch`` call in the throughput measurement.
@@ -79,6 +91,11 @@ BATCH_THRESHOLD = 256
 #: ``LATENCY_THRESHOLD`` index): wide enough that most residual leaf
 #: windows keep hundreds of rows.
 DENSE_SELECTIVITY = 1e-2
+
+#: Ceiling ``compare`` holds ``refine_scaling`` to.  Generous: its small
+#: ``n`` gives the ``n / 8`` run few leaves and a noisy millisecond
+#: timing.  The full-scale gate lives in ``benchmarks/bench_arena.py``.
+CI_MAX_REFINE_SCALING = 2.5
 
 
 def _converged_index(
@@ -104,6 +121,41 @@ def _converged_index(
     finally:
         set_arena_default(previous)
     return index
+
+
+def _refine_ns_per_row(columns: Sequence[np.ndarray], threshold: int) -> float:
+    """Wall ns per refined row of one convergence, creation excluded.
+
+    Copies ``columns`` into a fresh GPKD, finishes creation with one
+    narrow query (``delta=1``), then times scheduler-sized
+    (``SLICE_ROWS``) full-domain ``_refine_step`` slices until the index
+    converges — the serve scheduler's work, without its thread.  The
+    cyclic GC is held off while timing, as in :func:`_interleaved_best`.
+    """
+    import gc
+
+    n_dims = len(columns)
+    probe = RangeQuery.full_domain(n_dims)
+    index = GreedyProgressiveKDTree(
+        Table([column.copy() for column in columns]),
+        delta=1.0,
+        size_threshold=threshold,
+    )
+    index.query(RangeQuery(np.zeros(n_dims), np.ones(n_dims)))
+    stats = QueryStats()
+    rows = 0
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        begin = time.perf_counter()
+        while not index.converged:
+            rows += index._refine_step(SLICE_ROWS, probe, stats)
+        seconds = time.perf_counter() - begin
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return seconds / max(rows, 1) * 1e9
 
 
 def _narrow_queries(n_dims: int, count: int) -> List[RangeQuery]:
@@ -214,6 +266,16 @@ def arena_metrics(
         repeats,
     )
 
+    # Best-of-repeats per size, the two sizes interleaved so a clock
+    # drift cannot favour one side of the ratio.
+    sizes = {"n": columns, "n/8": [column[: n // 8] for column in columns]}
+    refine = {name: float("inf") for name in sizes}
+    for _ in range(repeats):
+        for name, sized in sizes.items():
+            refine[name] = min(
+                refine[name], _refine_ns_per_row(sized, LATENCY_THRESHOLD)
+            )
+
     count = len(workload)
     return {
         # cpu_count rides at top level, not buried in meta — the same
@@ -243,6 +305,8 @@ def arena_metrics(
             name: seconds / count * 1e6 for name, seconds in dense.items()
         },
         "dense_batch_speedup": dense["sequential"] / dense["batch"],
+        "refine_ns_per_row": refine,
+        "refine_scaling": refine["n"] / refine["n/8"],
     }
 
 
@@ -300,9 +364,10 @@ def compare(
     and ``query_batch`` speedup over sequential — against floors kept
     below the full-scale gates in ``benchmarks/bench_arena.py`` (CI
     machines are noisy and the compare ``n`` is smaller, which shrinks
-    the descent share both claims feed on).  Absolute per-query latency
-    is only graded against ``baseline * slowdown`` as an order-of-
-    magnitude canary.
+    the descent share both claims feed on), and ``refine_scaling``
+    against :data:`CI_MAX_REFINE_SCALING`.  Absolute per-query latency and
+    per-row refinement cost are only graded against ``baseline *
+    slowdown`` as an order-of-magnitude canary.
     """
     with open(path) as handle:
         stored = json.load(handle)
@@ -327,15 +392,31 @@ def compare(
     else:
         drift.notes.append(f"query_batch {batch_speedup:.2f}x over sequential")
 
-    for key in ("latency_us", "batch_us", "dense_batch_us"):
-        for name, baseline_us in stored.get(key, {}).items():
-            current_us = current[key].get(name)
-            if current_us is None:
+    refine_scaling = current["refine_scaling"]
+    if refine_scaling > CI_MAX_REFINE_SCALING:
+        drift.problems.append(
+            f"refinement ns/row at n is {refine_scaling:.2f}x its n/8 "
+            f"value, above the {CI_MAX_REFINE_SCALING:.2f}x ceiling"
+        )
+    else:
+        drift.notes.append(
+            f"refinement ns/row scales {refine_scaling:.2f}x from n/8 to n"
+        )
+
+    for key, unit in (
+        ("latency_us", "us/query"),
+        ("batch_us", "us/query"),
+        ("dense_batch_us", "us/query"),
+        ("refine_ns_per_row", "ns/row"),
+    ):
+        for name, baseline in stored.get(key, {}).items():
+            value = current[key].get(name)
+            if value is None:
                 continue
-            if current_us > baseline_us * slowdown:
+            if value > baseline * slowdown:
                 drift.problems.append(
-                    f"{key}/{name}: {current_us:.1f}us/query vs baseline "
-                    f"{baseline_us:.1f}us (>{slowdown:g}x slower)"
+                    f"{key}/{name}: {value:.1f}{unit} vs baseline "
+                    f"{baseline:.1f}{unit} (>{slowdown:g}x slower)"
                 )
     return drift
 
@@ -387,6 +468,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             f"dense query_batch: {doc['dense_batch_speedup']:.2f}x over "
             f"sequential"
+        )
+        print(
+            f"refinement: {doc['refine_ns_per_row']['n']:.1f} ns/row at n, "
+            f"{doc['refine_scaling']:.2f}x its n/8 value"
         )
         print(f"baseline written to {args.path}")
         return 0

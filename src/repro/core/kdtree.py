@@ -10,6 +10,7 @@ incrementally partition the index table.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,6 +74,10 @@ class KDTree:
         self.root: AnyNode = Piece(0, n_rows, level=0)
         self.node_count = 0  # internal nodes
         self.leaf_count = 1
+        # While every split key is finite, a probe unbounded on every
+        # dimension descends into both children of every internal node,
+        # so its lookup visits all node_count + leaf_count nodes.
+        self.finite_keys = True
         if use_arena is None:
             use_arena = arena_mod.arena_default()
         self.arena: Optional[arena_mod.Arena] = None
@@ -127,6 +132,8 @@ class KDTree:
         self._replace(piece, node)
         self.node_count += 1
         self.leaf_count += 1
+        if not math.isfinite(key):
+            self.finite_keys = False
         if self.arena is not None:
             self.arena.apply_split(piece, dim, key, split, left, right)
         if obs_trace.ENABLED:

@@ -410,22 +410,41 @@ class ProgressiveKDTree(BaseIndex):
         if self._active is piece:
             self._active = None
 
+    def _open_needed(self, query: RangeQuery, stats: QueryStats) -> List[Piece]:
+        """The open pieces ``query``'s index lookup reaches, in no
+        particular order, with the lookup's ``lookup_nodes`` charge.
+
+        A probe unbounded on every dimension (the refinement drivers'
+        full-domain probe) descends into both children of every internal
+        node while all split keys are finite, so its lookup visits all
+        ``node_count + leaf_count`` nodes and reaches every open piece:
+        answer it from the open list at that exact charge instead of
+        walking the tree.
+        """
+        tree = self._tree
+        if query.unbounded and tree.finite_keys:
+            stats.lookup_nodes += tree.node_count + tree.leaf_count
+            return list(self._open)
+        open_set = {id(piece) for piece in self._open}
+        return [
+            match.piece
+            for match in tree.search(query, stats)
+            if id(match.piece) in open_set
+        ]
+
     def _pick_piece(self, query: RangeQuery, stats: QueryStats) -> Piece:
         """Refinement priority: pieces the query needs, then the largest.
 
         An in-progress partition job is finished before a new one starts
-        (half-partitioned pieces would otherwise pile up).
+        (half-partitioned pieces would otherwise pile up).  Among needed
+        pieces of equal size the one starting furthest right wins — the
+        first one the right-subtree-first descent reports.
         """
         if self._active is not None and not self._active.converged:
             return self._active
-        open_set = {id(piece) for piece in self._open}
-        needed = [
-            match.piece
-            for match in self._tree.search(query, stats)
-            if id(match.piece) in open_set
-        ]
+        needed = self._open_needed(query, stats)
         if needed:
-            chosen = max(needed, key=lambda piece: piece.size)
+            chosen = max(needed, key=lambda piece: (piece.size, piece.start))
         else:
             chosen = max(self._open, key=lambda piece: piece.size)
         self._active = chosen
@@ -473,12 +492,7 @@ class ProgressiveKDTree(BaseIndex):
         for piece in sorted(in_progress, key=lambda piece: piece.start):
             if consider(piece):
                 return chosen
-        open_ids = {id(piece) for piece in self._open}
-        needed = [
-            match.piece
-            for match in self._tree.search(query, stats)
-            if id(match.piece) in open_ids
-        ]
+        needed = self._open_needed(query, stats)
         for piece in sorted(needed, key=lambda p: (-p.size, p.start)):
             if consider(piece):
                 return chosen

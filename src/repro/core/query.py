@@ -84,10 +84,20 @@ class RangeQuery:
         self.finite_lows = tuple(bool(f) for f in np.isfinite(lows_arr))
         self.finite_highs = tuple(bool(f) for f in np.isfinite(highs_arr))
 
+    @classmethod
+    def full_domain(cls, n_dims: int) -> "RangeQuery":
+        """The probe unbounded on every one of ``n_dims`` dimensions."""
+        return cls(np.full(n_dims, -np.inf), np.full(n_dims, np.inf))
+
     @property
     def n_dims(self) -> int:
         """Number of dimensions the query constrains."""
         return int(self.lows.shape[0])
+
+    @property
+    def unbounded(self) -> bool:
+        """True when no dimension carries a finite bound on either side."""
+        return not any(self.finite_lows) and not any(self.finite_highs)
 
     def bound_pairs(self) -> Iterable[Tuple[int, float, float]]:
         """Yield ``(dimension, low, high)`` triples in schema order."""

@@ -126,6 +126,7 @@ def _decode_tree(
     tree.root = build(0, n_rows, 0)
     if cursor[0] != dims.shape[0]:
         raise IndexStateError("trailing data in tree encoding")
+    tree.finite_keys = bool(np.isfinite(keys[dims != LEAF]).all())
     if arena_default():
         tree.attach_arena()
     return tree

@@ -503,10 +503,7 @@ def convergence_determinism_errors(index: BaseIndex) -> List[str]:
     if not index.converged or index.tree is None:
         return []
     eager = AverageKDTree(index.table, size_threshold=index.size_threshold)
-    unbounded = RangeQuery(
-        np.full(index.n_dims, -np.inf), np.full(index.n_dims, np.inf)
-    )
-    eager.query(unbounded)
+    eager.query(RangeQuery.full_domain(index.n_dims))
     progressive_leaves = sorted(
         (leaf.start, leaf.end) for leaf in index.tree.iter_leaves()
     )

@@ -133,14 +133,9 @@ class BackgroundRefiner:
 
     def _slice(self) -> None:
         if self._probe is None:
-            import numpy as np
-
             from ..core.query import RangeQuery
 
-            n_dims = self._index.n_dims
-            self._probe = RangeQuery(
-                np.full(n_dims, -np.inf), np.full(n_dims, np.inf)
-            )
+            self._probe = RangeQuery.full_domain(self._index.n_dims)
         used = self._index._refine_step(
             self._slice_rows, self._probe, self.stats
         )

@@ -17,7 +17,9 @@ one residual-scan call that routes each leaf window to the fused kernel
 or a shared vectorized pass; at most :data:`MAX_BATCH_QUERIES` queries),
 ``check``, ``stats``, ``metrics`` (Prometheus text
 exposition of the server's telemetry), ``slo`` (per-tenant latency-SLO
-state plus recent watchdog events), ``shutdown``.  ``query``
+state plus recent watchdog events), ``shutdown`` (honoured only from a
+loopback peer; any other peer gets a ``forbidden`` error and keeps its
+connection).  ``query``
 additionally accepts a ``trace`` field — a client-chosen request id
 that, with server-side tracing enabled, rides on the request's
 ``serve.query`` root span so one client request resolves to exactly one

@@ -34,8 +34,6 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from .. import kernels
 from ..core.cost_model import CostModel, MachineProfile
 from ..core.metrics import QueryStats
@@ -264,10 +262,7 @@ class RefinementScheduler:
 
     def _slice(self, entry: _Entry) -> None:
         if entry.probe is None:
-            n_dims = entry.index.n_dims
-            entry.probe = RangeQuery(
-                np.full(n_dims, -np.inf), np.full(n_dims, np.inf)
-            )
+            entry.probe = RangeQuery.full_domain(entry.index.n_dims)
         span = None
         if obs_trace.ENABLED:
             funding = None

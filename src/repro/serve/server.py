@@ -43,6 +43,7 @@ PKD mid-creation).
 from __future__ import annotations
 
 import asyncio
+import ipaddress
 import threading
 import time
 from contextlib import nullcontext
@@ -1039,12 +1040,23 @@ class IndexServer:
                             {}, "protocol", f"malformed frame: {error}"
                         )
                     else:
-                        if request.get("op") == "shutdown":
+                        if request.get("op") != "shutdown":
+                            response = await self._handle_request(
+                                request, loop
+                            )
+                        elif is_loopback_peer(
+                            writer.get_extra_info("peername")
+                        ):
                             writer.write(encode_frame(ok_response(request)))
                             await writer.drain()
                             self._shutdown_event.set()
                             break
-                        response = await self._handle_request(request, loop)
+                        else:
+                            response = error_response(
+                                request, "forbidden",
+                                "shutdown is only accepted from a "
+                                "loopback address",
+                            )
                 writer.write(encode_frame(response))
                 try:
                     await writer.drain()
@@ -1078,6 +1090,23 @@ class IndexServer:
         finally:
             self._executor.shutdown(wait=True)
             self.close()
+
+
+def is_loopback_peer(peername: object) -> bool:
+    """True when a socket's ``peername`` is a loopback address.
+
+    Accepts the IPv4 ``(host, port)`` and IPv6 ``(host, port, flow,
+    scope)`` forms (an IPv4-mapped IPv6 peer counts by its IPv4
+    address); anything unparseable is not loopback.
+    """
+    if not isinstance(peername, tuple) or not peername:
+        return False
+    try:
+        address = ipaddress.ip_address(str(peername[0]))
+    except ValueError:
+        return False
+    mapped = getattr(address, "ipv4_mapped", None)
+    return (mapped or address).is_loopback
 
 
 async def _discard_frame(reader: asyncio.StreamReader) -> bool:

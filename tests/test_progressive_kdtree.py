@@ -1,5 +1,7 @@
 """Progressive KD-Tree: budgets, phases, deterministic convergence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,14 @@ from repro import (
     RangeQuery,
     Table,
 )
+from repro.core.arena import arena_default, set_arena_default
+from repro.core.greedy_progressive import GreedyProgressiveKDTree
+from repro.core.metrics import QueryStats
 from repro.core.progressive_kdtree import CONVERGED, CREATION, REFINEMENT
+from repro.core.serialize import FrozenKDIndex, snapshot_index
+from repro.parallel import config as par_config
+from repro.parallel import procpool
+from repro.serve.protocol import TableSpec
 from tests.conftest import assert_correct, make_queries, make_uniform_table
 
 
@@ -231,3 +240,206 @@ class TestValidation:
     def test_invalid_tau(self, small_table):
         with pytest.raises(InvalidParameterError):
             ProgressiveKDTree(small_table, tau=0.0)
+
+
+# -------------------------------------------------- full-domain piece picks
+
+#: QueryStats fields that are work counters (the wall-clock ones vary).
+WORK_FIELDS = tuple(
+    field.name
+    for field in dataclasses.fields(QueryStats)
+    if field.name not in ("seconds", "phase_seconds")
+)
+
+
+def searched_open(index, query, stats):
+    """Reference lookup: descend the tree, keep the open pieces reached."""
+    open_set = {id(piece) for piece in index._open}
+    return [
+        match.piece
+        for match in index._tree.search(query, stats)
+        if id(match.piece) in open_set
+    ]
+
+
+def searched_pick(index, query, stats):
+    """Reference ``_pick_piece``: the needed piece is chosen from a full
+    descent, ties going to the first one the descent reports."""
+    if index._active is not None and not index._active.converged:
+        return index._active
+    needed = searched_open(index, query, stats)
+    if needed:
+        chosen = max(needed, key=lambda piece: piece.size)
+    else:
+        chosen = max(index._open, key=lambda piece: piece.size)
+    index._active = chosen
+    return chosen
+
+
+def pick_by_descent(index):
+    """Make ``index`` pick pieces through a tree descent for every probe."""
+    index._pick_piece = lambda query, stats: searched_pick(index, query, stats)
+    index._open_needed = lambda query, stats: searched_open(
+        index, query, stats
+    )
+
+
+def count_searches(index):
+    """Wrap ``index``'s tree lookup; returns the list each call appends to."""
+    calls = []
+    search = index.tree.search
+
+    def counted(query, stats):
+        calls.append(query)
+        return search(query, stats)
+
+    index.tree.search = counted
+    return calls
+
+
+def refine_slices(index, slice_rows, max_slices=100_000):
+    """Full-domain slices until convergence: per-slice (rows, counters)."""
+    probe = RangeQuery.full_domain(index.n_dims)
+    slices = []
+    while index.phase == REFINEMENT:
+        stats = QueryStats()
+        used = index._refine_step(slice_rows, probe, stats)
+        slices.append(
+            (used, tuple(getattr(stats, name) for name in WORK_FIELDS))
+        )
+        assert len(slices) < max_slices, "refinement failed to converge"
+    return slices
+
+
+def layout(index):
+    return (
+        [array.tobytes() for array in index.index_table.all_arrays],
+        [(leaf.start, leaf.end) for leaf in index.tree.iter_leaves()],
+    )
+
+
+def created(cls, spec, threshold):
+    """An index of ``cls`` over ``spec`` past its creation phase."""
+    table = Table(list(spec.build_columns().values()))
+    index = cls(table, delta=1.0, size_threshold=threshold)
+    index.query(RangeQuery.full_domain(spec.n_dims))
+    assert index.phase == REFINEMENT
+    return index
+
+
+def restored(index, cls, threshold):
+    """A fresh ``cls`` resuming refinement from a snapshot of ``index``.
+
+    The tree comes back through :mod:`repro.core.serialize` (so its
+    ``node_count``/``leaf_count`` are the decoder's); open pieces are
+    the restored leaves not marked converged.
+    """
+    payload = {name: array.copy() for name, array in snapshot_index(index).items()}
+    frozen = FrozenKDIndex.from_snapshot(payload)
+    resumed = cls(index.table, delta=1.0, size_threshold=threshold)
+    resumed._index = frozen.index_table
+    resumed._tree = frozen.tree
+    resumed._rows_copied = resumed.n_rows
+    resumed._open = [
+        leaf for leaf in frozen.tree.iter_leaves() if not leaf.converged
+    ]
+    resumed.phase = REFINEMENT
+    return resumed
+
+
+@pytest.fixture
+def knobs():
+    """Pin the arena default and both fan-out tiers; restore afterwards."""
+    default = arena_default()
+    workers = par_config.get_workers()
+    procs = procpool.get_process_workers()
+    par_config.set_workers(1)
+    procpool.set_process_workers(1)
+    yield
+    set_arena_default(default)
+    par_config.set_workers(workers)
+    procpool.set_process_workers(procs)
+
+
+class TestFullDomainPick:
+    """A probe unbounded on every dimension picks its piece from the open
+    list without descending the tree, charging the descent's node count;
+    slices, counters and the final layout match the descent-based pick."""
+
+    THRESHOLDS = {"uniform": 64, "duplicate": 32, "skewed": 64}
+
+    def converge_both(self, cls, kind, slice_rows=1 << 11, n_rows=12_000):
+        spec = TableSpec("t", kind, n_rows, 3, seed=5)
+        threshold = self.THRESHOLDS[kind]
+        fast = created(cls, spec, threshold)
+        reference = created(cls, spec, threshold)
+        pick_by_descent(reference)
+        fast_searches = count_searches(fast)
+        reference_searches = count_searches(reference)
+        fast_slices = refine_slices(fast, slice_rows)
+        reference_slices = refine_slices(reference, slice_rows)
+        assert fast_slices == reference_slices
+        assert layout(fast) == layout(reference)
+        assert fast.converged and reference.converged
+        assert not fast_searches
+        assert reference_searches
+        return fast_slices
+
+    @pytest.mark.parametrize("arena", [True, False], ids=["arena", "objects"])
+    @pytest.mark.parametrize("kind", ["uniform", "duplicate", "skewed"])
+    @pytest.mark.parametrize(
+        "cls", [ProgressiveKDTree, GreedyProgressiveKDTree], ids=["pkd", "gpkd"]
+    )
+    def test_serial_pick_matches_descent(self, knobs, cls, kind, arena):
+        set_arena_default(arena)
+        slices = self.converge_both(cls, kind)
+        assert len(slices) > 1
+
+    @pytest.mark.parametrize("kind", ["uniform", "duplicate"])
+    @pytest.mark.parametrize(
+        "cls", [ProgressiveKDTree, GreedyProgressiveKDTree], ids=["pkd", "gpkd"]
+    )
+    def test_fanout_pick_matches_descent(self, knobs, cls, kind):
+        par_config.set_workers(2)
+        self.converge_both(cls, kind)
+
+    @pytest.mark.parametrize("arena", [True, False], ids=["arena", "objects"])
+    def test_restored_tree_charges_like_its_descent(self, knobs, arena):
+        set_arena_default(arena)
+        spec = TableSpec("t", "uniform", 12_000, 3, seed=6)
+        original = created(ProgressiveKDTree, spec, 64)
+        probe = RangeQuery.full_domain(3)
+        for _ in range(20):
+            original._refine_step(1 << 11, probe, QueryStats())
+        assert original.phase == REFINEMENT
+        assert original.tree.node_count > 8
+        fast = restored(original, ProgressiveKDTree, 64)
+        reference = restored(original, ProgressiveKDTree, 64)
+        assert fast.tree.leaf_count == len(list(fast.tree.iter_leaves()))
+        pick_by_descent(reference)
+        fast_searches = count_searches(fast)
+        assert refine_slices(fast, 1 << 11) == refine_slices(reference, 1 << 11)
+        assert layout(fast) == layout(reference)
+        assert not fast_searches
+
+    def test_non_finite_pivot_falls_back_to_descent(self, knobs):
+        # A -inf pivot stops the full-domain descent at that node's left
+        # child, so the open list no longer equals what the probe reaches.
+        rng = np.random.default_rng(8)
+        column = rng.random(4_000) * 100.0
+        column[:1_500] = -np.inf
+        table = Table([column, rng.random(4_000) * 100.0])
+        fast = ProgressiveKDTree(table, delta=1.0, size_threshold=64)
+        reference = ProgressiveKDTree(table, delta=1.0, size_threshold=64)
+        for index in (fast, reference):
+            index.query(RangeQuery.full_domain(2))
+        assert not fast.tree.finite_keys
+        pick_by_descent(reference)
+        assert refine_slices(fast, 1 << 10) == refine_slices(reference, 1 << 10)
+        assert layout(fast) == layout(reference)
+
+    def test_unbounded_property(self):
+        assert RangeQuery.full_domain(3).unbounded
+        assert RangeQuery.full_domain(3).n_dims == 3
+        assert not RangeQuery([-np.inf, 0.0], [np.inf, np.inf]).unbounded
+        assert not RangeQuery([-np.inf, -np.inf], [np.inf, 5.0]).unbounded

@@ -32,6 +32,7 @@ from repro.serve import (
     TableSpec,
     answer_checksum,
 )
+from repro.serve import server as server_mod
 from repro.serve.protocol import (
     MAX_BATCH_QUERIES,
     MAX_FRAME_BYTES,
@@ -602,6 +603,39 @@ class TestSocketRoundTrip:
                 # request on the same socket is answered normally.
                 assert client.hello()["ok"] is True
                 client.shutdown()
+
+    @pytest.mark.parametrize(
+        "peername, loopback",
+        [
+            (("127.0.0.1", 5000), True),
+            (("127.8.9.10", 5000), True),
+            (("::1", 5000, 0, 0), True),
+            (("::ffff:127.0.0.1", 5000, 0, 0), True),
+            (("10.0.0.7", 5000), False),
+            (("192.168.1.20", 5000), False),
+            (("2001:db8::1", 5000, 0, 0), False),
+            (("::ffff:10.0.0.7", 5000, 0, 0), False),
+            (("localhost", 5000), False),
+            (None, False),
+            ("", False),
+        ],
+    )
+    def test_loopback_peer_predicate(self, peername, loopback):
+        assert server_mod.is_loopback_peer(peername) is loopback
+
+    def test_shutdown_from_a_remote_peer_is_forbidden(self, monkeypatch):
+        # Every test socket is loopback; pretend this peer is not.
+        monkeypatch.setattr(server_mod, "is_loopback_peer", lambda _: False)
+        with ServerThread(IndexServer()) as handle:
+            with ServeClient(handle.host, handle.port) as client:
+                client._sock.sendall(encode_frame({"op": "shutdown", "id": 7}))
+                response = decode_frame(client._file.readline())
+                assert response["ok"] is False
+                assert response["error"] == "forbidden"
+                assert response["id"] == 7
+                # The server is still up and the connection still works.
+                assert client.hello()["ok"] is True
+            assert handle._thread.is_alive()
 
     def test_batch_over_the_cap_is_a_typed_error_on_the_wire(self):
         spec = TableSpec("wire", "uniform", 2_000, 3, seed=3)
