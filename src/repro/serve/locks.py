@@ -94,15 +94,26 @@ class PieceSnapshotLock:
 
     # ------------------------------------------------------------- readers
 
-    def acquire_read(self) -> None:
+    def acquire_read(self, blocking: bool = True) -> bool:
+        """Shared side; returns False instead of waiting when
+        ``blocking`` is false and a writer is active or waiting.
+
+        A failed try leaves no trace: writer preference holds for it
+        too, and it feeds neither the wait histogram nor
+        :meth:`drain_max_wait`.  This is what lets the event loop try
+        the lock without ever parking on it.
+        """
         begin = time.monotonic()
         with self._cond:
             contended = False
             while self._writer_active or self._writers_waiting:
+                if not blocking:
+                    return False
                 contended = True
                 self._cond.wait()
             self._active_readers += 1
             self._record_wait("read", time.monotonic() - begin, contended)
+            return True
 
     def release_read(self) -> None:
         with self._cond:
@@ -132,6 +143,8 @@ class PieceSnapshotLock:
         The timeout is what keeps the refinement scheduler work-
         conserving: rather than parking behind a long adaptive query it
         gives up quickly and spends the slice on another tenant.
+        ``timeout=0`` is a try that never waits; like every timed-out
+        attempt, a failed try records no wait.
         """
         begin = time.monotonic()
         deadline = None if timeout is None else begin + timeout

@@ -6,9 +6,12 @@ tenant sessions over shared registered tables.  Three layers:
 
 * **request layer** — an asyncio TCP server speaking the
   newline-delimited JSON protocol of :mod:`.protocol`.  Control ops
-  (hello/open/close/stats) run on the event loop; query and invariant
-  ops are dispatched to a bounded thread pool so one slow scan never
-  stalls the accept loop.  Every request passes
+  (hello/open/close/stats) run on the event loop; batch, invariant and
+  registration ops, and every query that could block or build, are
+  dispatched to a bounded thread pool so one slow scan never stalls the
+  accept loop.  A query on a converged index whose lock is free at
+  dispatch runs on the loop itself: it is a lookup plus a scan, cheaper
+  than the hop to a pool thread.  Every query and batch passes
   :class:`~repro.serve.admission.AdmissionControl` first.
 * **session layer** — a registry of :class:`TenantSession`\\ s.  Tables
   are registered once (columns or a deterministic
@@ -48,7 +51,7 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -89,6 +92,10 @@ from .protocol import (
 from .scheduler import RefinementScheduler
 
 __all__ = ["IndexServer", "ServerThread", "snapshot_scan", "TenantSession"]
+
+# How long shutdown lets in-flight requests finish writing their
+# responses before it aborts their connections.
+DRAIN_GRACE_SECONDS = 30.0
 
 
 def _index_key(session_id: str, table: str, group: Tuple[str, ...]) -> str:
@@ -167,6 +174,26 @@ class _SessionIndex:
     # execute_query so the per-request metered cost is dict gets, not
     # registry-key renders under the registry lock.
     metric_handles: Optional[tuple] = None
+
+
+@dataclass
+class _QueryPlan:
+    """One ``query`` request resolved once, at dispatch.
+
+    ``entry`` is None until the request's index exists (the executor
+    creates it); ``held`` is set while the dispatcher holds ``entry``'s
+    lock for ``mode`` on the request's behalf.
+    """
+
+    session: "TenantSession"
+    shared: _SharedTable
+    table_name: str
+    group_key: Tuple[str, ...]
+    positions: List[int]
+    query: RangeQuery
+    mode: str
+    entry: Optional[_SessionIndex] = None
+    held: bool = False
 
 
 @dataclass
@@ -437,25 +464,15 @@ class IndexServer:
                 )
             return entry
 
-    def execute_query(
+    def _plan_query(
         self,
         session_id: str,
         table_name: str,
         bounds: Dict[str, object],
-        mode: str = "adaptive",
-        return_ids: bool = False,
-        trace: Optional[str] = None,
-        enqueued: Optional[float] = None,
-    ) -> Dict[str, object]:
-        """Run one query for a session; blocking, called off the loop.
-
-        ``trace`` is a client-chosen request id; when tracing is on it
-        rides on the ``serve.query`` root span so a client request
-        resolves to exactly one server-side span tree.  ``enqueued`` is
-        the trace-time stamp (:meth:`Tracer.now`) taken on the event
-        loop when the request was handed to the executor — the root's
-        ``serve.queue`` child records the executor-queue wait from it.
-        """
+        mode: str,
+    ) -> _QueryPlan:
+        """Resolve one query request without touching any index state:
+        the plan's ``entry`` stays None until the index exists."""
         if mode not in ("adaptive", "snapshot"):
             raise InvalidQueryError(
                 f"unknown query mode {mode!r}; options: adaptive, snapshot"
@@ -469,10 +486,56 @@ class IndexServer:
         group_key, positions, query = resolve_group_query(
             shared.encoded, table_name, parsed_bounds
         )
-        entry = self._session_index(
-            session, table_name, group_key, positions, shared
+        with self._lock:
+            entry = session.indexes.get((table_name, group_key))
+        return _QueryPlan(
+            session, shared, table_name, group_key, positions, query, mode,
+            entry,
         )
-        index_key = _index_key(session_id, table_name, group_key)
+
+    def execute_query(
+        self,
+        session_id: str,
+        table_name: str,
+        bounds: Dict[str, object],
+        mode: str = "adaptive",
+        return_ids: bool = False,
+        trace: Optional[str] = None,
+        enqueued: Optional[float] = None,
+        plan: Optional[_QueryPlan] = None,
+    ) -> Dict[str, object]:
+        """Run one query for a session.  Blocking: called on an executor
+        thread, or on the event loop for a converged query whose lock
+        the dispatcher already holds.
+
+        ``trace`` is a client-chosen request id; when tracing is on it
+        rides on the ``serve.query`` root span so a client request
+        resolves to exactly one server-side span tree.  ``enqueued`` is
+        the trace-time stamp (:meth:`Tracer.now`) taken on the event
+        loop at dispatch — the root's ``serve.queue`` child records the
+        wait from it.  ``plan`` is the request as the dispatcher already
+        resolved it (``session_id``, ``table_name``, ``bounds`` and
+        ``mode`` are then not parsed again); when ``plan.held`` is set
+        the dispatcher holds the index lock for ``mode`` and this call
+        releases it.
+        """
+        if plan is None:
+            plan = self._plan_query(session_id, table_name, bounds, mode)
+        session, shared, table_name, group_key, query, mode = (
+            plan.session, plan.shared, plan.table_name, plan.group_key,
+            plan.query, plan.mode,
+        )
+        entry = plan.entry or self._session_index(
+            session, table_name, group_key, plan.positions, shared
+        )
+        if mode == "adaptive":
+            acquire, release = entry.lock.acquire_write, entry.lock.release_write
+            side = "write"
+        else:
+            acquire, release = entry.lock.acquire_read, entry.lock.release_read
+            side = "read"
+        held = plan.held
+        index_key = _index_key(session.session_id, table_name, group_key)
         tracer = obs_trace.TRACER if obs_trace.ENABLED else None
         root = None
         root_id: Optional[int] = None
@@ -481,7 +544,7 @@ class IndexServer:
             if tracer is not None:
                 attrs: Dict[str, object] = {
                     "tenant": session.tenant,
-                    "session": session_id,
+                    "session": session.session_id,
                     "table": table_name,
                     "columns": ",".join(group_key),
                     "mode": mode,
@@ -514,47 +577,38 @@ class IndexServer:
                     if tracer is not None
                     else nullcontext()
                 )
-                if mode == "adaptive":
-                    lock_at = tracer.now() if tracer is not None else 0.0
-                    entry.lock.acquire_write()
-                    try:
-                        if tracer is not None:
-                            tracer.record_span(
-                                "serve.lock",
-                                lock_at,
-                                tracer.now() - lock_at,
-                                parent=root_id,
-                                side="write",
-                            )
-                        with scan_cm, _thread_kernels():
-                            result = entry.index.query(query)
-                            row_ids = result.row_ids
-                    finally:
-                        entry.lock.release_write()
-                else:
+                if mode == "snapshot":
                     stats = QueryStats()
                     base_columns = [
                         shared.encoded.table.column(position)
-                        for position in positions
+                        for position in plan.positions
                     ]
-                    lock_at = tracer.now() if tracer is not None else 0.0
-                    entry.lock.acquire_read()
-                    try:
-                        if tracer is not None:
-                            tracer.record_span(
-                                "serve.lock",
-                                lock_at,
-                                tracer.now() - lock_at,
-                                parent=root_id,
-                                side="read",
-                            )
-                        with scan_cm, _thread_kernels():
+                lock_at = tracer.now() if tracer is not None else 0.0
+                if not held:
+                    acquire()
+                held = False
+                try:
+                    if tracer is not None:
+                        tracer.record_span(
+                            "serve.lock",
+                            lock_at,
+                            tracer.now() - lock_at,
+                            parent=root_id,
+                            side=side,
+                        )
+                    with scan_cm, _thread_kernels():
+                        if mode == "adaptive":
+                            row_ids = entry.index.query(query).row_ids
+                        else:
                             row_ids = snapshot_scan(
                                 entry.index, base_columns, query, stats
                             )
-                    finally:
-                        entry.lock.release_read()
+                finally:
+                    release()
         finally:
+            if held:
+                # Taken at dispatch, but admission refused the request.
+                release()
             if root is not None:
                 root.__exit__(None, None, None)
         elapsed = time.perf_counter() - begin
@@ -890,18 +944,6 @@ class IndexServer:
     def _dispatch_blocking(self, request: Dict[str, object]) -> Dict[str, object]:
         """Ops that do real work — run on an executor thread."""
         op = request.get("op")
-        if op == "query":
-            trace = request.get("trace")
-            payload = self.execute_query(
-                session_id=str(request.get("session", "")),
-                table_name=str(request.get("table", "")),
-                bounds=request.get("bounds") or {},
-                mode=str(request.get("mode", "adaptive")),
-                return_ids=bool(request.get("return_ids", False)),
-                trace=None if trace is None else str(trace),
-                enqueued=request.get("_enqueued"),
-            )
-            return ok_response(request, **payload)
         if op == "batch":
             queries = request.get("queries") or []
             payload = self.execute_batch(
@@ -977,6 +1019,45 @@ class IndexServer:
             )
         return None
 
+    def _answer_query(
+        self,
+        request: Dict[str, object],
+        plan: _QueryPlan,
+        enqueued: Optional[float],
+    ) -> Dict[str, object]:
+        trace = request.get("trace")
+        payload = self.execute_query(
+            session_id=plan.session.session_id,
+            table_name=plan.table_name,
+            bounds=request.get("bounds") or {},
+            mode=plan.mode,
+            return_ids=bool(request.get("return_ids", False)),
+            trace=None if trace is None else str(trace),
+            enqueued=enqueued,
+            plan=plan,
+        )
+        return ok_response(request, **payload)
+
+    @staticmethod
+    def _hold_if_converged(plan: _QueryPlan) -> bool:
+        """Take ``plan``'s index lock for its mode without waiting, when
+        the index is converged; False (and nothing taken) otherwise.
+
+        A converged KD index (``_supports_batch``) answers every query
+        with a lookup plus a scan, no query mutates it, so the query is
+        cheaper than the executor hop that would carry it.  Whether the
+        index exists, is converged, or the lock is free only decides
+        which thread runs :meth:`execute_query`, never what it answers.
+        """
+        entry = plan.entry
+        if entry is None or not entry.index._supports_batch():
+            return False
+        if plan.mode == "adaptive":
+            plan.held = entry.lock.acquire_write(timeout=0)
+        else:
+            plan.held = entry.lock.acquire_read(blocking=False)
+        return plan.held
+
     async def _handle_request(
         self, request: Dict[str, object], loop: asyncio.AbstractEventLoop
     ) -> Dict[str, object]:
@@ -984,14 +1065,23 @@ class IndexServer:
             control = self._dispatch_control(request)
             if control is not None:
                 return control
-            if obs_trace.ENABLED and request.get("op") == "query":
-                # Stamp the hand-off time on the loop; the executor
-                # thread turns it into the request's queue-wait span.
-                request = dict(
-                    request, _enqueued=obs_trace.TRACER.now()
+            if request.get("op") != "query":
+                return await loop.run_in_executor(
+                    self._executor, self._dispatch_blocking, request
                 )
+            # Stamp the dispatch time on the loop; execute_query turns
+            # it into the request's queue-wait span.
+            enqueued = obs_trace.TRACER.now() if obs_trace.ENABLED else None
+            plan = self._plan_query(
+                str(request.get("session", "")),
+                str(request.get("table", "")),
+                request.get("bounds") or {},
+                str(request.get("mode", "adaptive")),
+            )
+            if self._hold_if_converged(plan):
+                return self._answer_query(request, plan, enqueued)
             return await loop.run_in_executor(
-                self._executor, self._dispatch_blocking, request
+                self._executor, self._answer_query, request, plan, enqueued
             )
         except AdmissionError as error:
             return error_response(
@@ -1010,8 +1100,13 @@ class IndexServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+        self._connections[task] = (reader, writer)
         try:
-            while True:
+            while not self._shutdown_event.is_set():
+                # Idle while parked on the next frame: shutdown ends the
+                # input of idle handlers and lets busy ones answer first.
+                self._idle_connections.add(task)
                 try:
                     line = await reader.readuntil(b"\n")
                 except asyncio.IncompleteReadError as error:
@@ -1022,6 +1117,8 @@ class IndexServer:
                     line = None
                 except ConnectionError:
                     break
+                finally:
+                    self._idle_connections.discard(task)
                 if line is None:
                     response = error_response(
                         {}, "frame_too_large",
@@ -1063,15 +1160,45 @@ class IndexServer:
                 except ConnectionError:
                     break
         finally:
+            del self._connections[task]
             try:
                 writer.close()
             except Exception:  # noqa: BLE001 - already torn down
                 pass
 
+    async def _drain_connections(self) -> None:
+        """End every live connection once the listener is closed.
+
+        Handlers parked on their next frame see end of input.  A handler
+        mid-request writes its response, sees the shutdown flag and
+        returns.  Connections still open after
+        :data:`DRAIN_GRACE_SECONDS` (a client that stopped reading) are
+        aborted.  No handler is cancelled: on Python 3.11 the stream
+        protocol logs a cancelled handler as an error.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + DRAIN_GRACE_SECONDS
+        while self._connections:
+            for task in list(self._idle_connections):
+                reader, writer = self._connections[task]
+                writer.transport.pause_reading()
+                reader.feed_eof()
+            remaining: Optional[float] = deadline - loop.time()
+            if remaining <= 0:
+                for _reader, writer in self._connections.values():
+                    writer.transport.abort()
+                remaining = None
+            await asyncio.wait(set(self._connections), timeout=remaining)
+
     async def serve(
         self, host: str = "127.0.0.1", port: int = 0
     ) -> None:
-        """Run the asyncio request layer until a ``shutdown`` op arrives."""
+        """Run the asyncio request layer until a ``shutdown`` op arrives.
+
+        Shutdown stops accepting, answers the requests already in
+        flight, closes every connection, and only then stops the
+        executor and the server's maintenance threads.
+        """
         from concurrent.futures import ThreadPoolExecutor
 
         self._executor = ThreadPoolExecutor(
@@ -1079,6 +1206,11 @@ class IndexServer:
             thread_name_prefix="repro-serve",
         )
         self._shutdown_event = asyncio.Event()
+        self._connections: Dict[
+            asyncio.Task,
+            Tuple[asyncio.StreamReader, asyncio.StreamWriter],
+        ] = {}
+        self._idle_connections: Set[asyncio.Task] = set()
         server = await asyncio.start_server(
             self._handle_connection, host=host, port=port,
             limit=MAX_FRAME_BYTES,
@@ -1087,6 +1219,8 @@ class IndexServer:
         try:
             async with server:
                 await self._shutdown_event.wait()
+                server.close()
+                await self._drain_connections()
         finally:
             self._executor.shutdown(wait=True)
             self.close()

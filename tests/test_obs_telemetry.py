@@ -262,6 +262,17 @@ class TestLockWaitMetrics:
         assert histogram.maximum >= 0.04
         assert lock.drain_max_wait() >= 0.04
 
+    def test_failed_tries_skip_the_wait_histograms(self):
+        obs_metrics.enable()
+        lock = PieceSnapshotLock(name="t/idx")
+        with lock.write():
+            assert lock.acquire_read(blocking=False) is False
+        with lock.read():
+            assert lock.acquire_write(timeout=0) is False
+        keys = obs.REGISTRY.names()
+        assert not any("read_wait" in key or "write_wait" in key for key in keys)
+        assert lock.drain_max_wait() < 0.01
+
     def test_anonymous_locks_never_touch_the_registry(self):
         obs_metrics.enable()
         lock = PieceSnapshotLock()  # no name

@@ -198,6 +198,44 @@ class TestPieceSnapshotLock:
         reader_thread.join(timeout=5)
         assert states["writer"] < states["reader"]
 
+    def test_non_blocking_read_refuses_while_a_writer_holds(self):
+        lock = PieceSnapshotLock()
+        with lock.write():
+            assert lock.acquire_read(blocking=False) is False
+        assert lock.readers == 0
+        assert lock.acquire_read(blocking=False) is True
+        assert lock.acquire_read(blocking=False) is True  # readers share
+        assert lock.readers == 2
+        lock.release_read()
+        lock.release_read()
+
+    def test_non_blocking_read_yields_to_a_waiting_writer(self):
+        lock = PieceSnapshotLock()
+        lock.acquire_read()
+        writer = threading.Thread(target=lock.acquire_write, daemon=True)
+        writer.start()
+        try:
+            deadline = time.monotonic() + 5
+            while not lock._writers_waiting and time.monotonic() < deadline:
+                time.sleep(0.001)
+            # Writer preference holds for a try, too.
+            assert lock.acquire_read(blocking=False) is False
+        finally:
+            lock.release_read()
+        writer.join(timeout=5)
+        assert not writer.is_alive()
+        assert lock.write_held
+        lock.release_write()
+
+    def test_failed_try_records_no_wait(self):
+        lock = PieceSnapshotLock()
+        lock.acquire_write()
+        lock.drain_max_wait()
+        assert lock.acquire_read(blocking=False) is False
+        assert lock.acquire_write(timeout=0) is False
+        assert lock.drain_max_wait() == 0.0
+        lock.release_write()
+
 
 # ---------------------------------------------------------------- admission
 
@@ -665,3 +703,309 @@ class TestSocketRoundTrip:
             and ("repro-serve" in t.name or "scheduler" in t.name)
         }
         assert not leaked, f"server threads leaked: {leaked}"
+
+    def test_shutdown_leaves_no_pending_connection_handler(self, caplog):
+        import gc
+        import logging
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            for via_op in (True, False):
+                handle = ServerThread(IndexServer()).start()
+                idle = ServeClient(handle.host, handle.port)
+                idle.hello()
+                with ServeClient(handle.host, handle.port) as client:
+                    client.hello()
+                    if via_op:
+                        client.shutdown()
+                    handle.stop()
+                assert not handle._thread.is_alive()
+                # The server ended the idle connection's input.
+                assert idle._file.readline() == b""
+                idle.close()
+                gc.collect()
+        destroyed = [
+            record for record in caplog.records
+            if "Task was destroyed but it is pending" in record.getMessage()
+        ]
+        assert not destroyed, destroyed[0].getMessage()
+
+    def test_shutdown_answers_the_request_in_flight(self):
+        spec = TableSpec("wire", "uniform", 4_000, 2, seed=3)
+        bounds = {"c0": (10.0, 55.0), "c1": (10.0, 55.0)}
+        server = IndexServer(size_threshold=256)
+        handle = ServerThread(server).start()
+        with ServeClient(handle.host, handle.port, timeout=15) as client:
+            client.register_spec(spec)
+            session = client.open_session("t")
+            client.query(session, "wire", bounds)
+            entry = next(iter(server._sessions[session].indexes.values()))
+            assert entry.lock.acquire_write(timeout=5)
+            try:
+                client._sock.sendall(encode_frame({
+                    "op": "query", "id": "in-flight", "session": session,
+                    "table": "wire",
+                    "bounds": {c: list(b) for c, b in bounds.items()},
+                }))
+                deadline = time.monotonic() + 5
+                while (
+                    not entry.lock._writers_waiting
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.001)
+                assert entry.lock._writers_waiting, "query never dispatched"
+                stopper = threading.Thread(target=handle.stop)
+                stopper.start()
+                time.sleep(0.1)  # shutdown is now draining
+            finally:
+                entry.lock.release_write()
+            response = decode_frame(client._file.readline())
+        stopper.join(timeout=10)
+        assert not stopper.is_alive() and not handle._thread.is_alive()
+        assert response["ok"] is True and response["id"] == "in-flight"
+        assert (response["count"], response["checksum"]) == oracle_answer(
+            spec, bounds
+        )
+
+
+# ----------------------------------------------- inline dispatch on the loop
+
+
+WIRE_SPEC = TableSpec("wire", "uniform", 4_000, 2, seed=3)
+WIRE_BOUNDS = [
+    {"c0": (10.0, 55.0), "c1": (10.0, 55.0)},
+    {"c0": (0.0, 20.0), "c1": (40.0, 90.0)},
+    {"c0": (33.3, 33.9), "c1": (1.0, 99.0)},
+]
+
+
+class _InlineFixture:
+    """A served session plus a record of which thread ran each
+    ``execute_query`` (stamped as the call starts)."""
+
+    def __init__(self, server: IndexServer) -> None:
+        self.server = server
+        self.threads: list = []
+        original = server.execute_query
+
+        def recorded(*args, **kwargs):
+            self.threads.append(threading.current_thread().name)
+            return original(*args, **kwargs)
+
+        server.execute_query = recorded
+        self.handle = ServerThread(server).start()
+        self.loop_thread = self.handle._thread.name
+        self.client = ServeClient(self.handle.host, self.handle.port)
+        self.client.register_spec(WIRE_SPEC)
+        self.session = self.client.open_session("t")
+
+    def query(self, bounds, mode="adaptive", trace=None):
+        response = self.client.query(
+            self.session, "wire", bounds, mode=mode, trace=trace
+        )
+        assert (response["count"], response["checksum"]) == oracle_answer(
+            WIRE_SPEC, bounds
+        )
+        return response
+
+    def converge(self, timeout: float = 30.0) -> None:
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            indexes = self.client.stats()["sessions"][self.session]["indexes"]
+            if indexes and all(i["converged"] for i in indexes.values()):
+                return
+            self.query(WIRE_BOUNDS[0])
+            time.sleep(0.005)
+        raise AssertionError("the session index never converged")
+
+    def entry(self):
+        return next(
+            iter(self.server._sessions[self.session].indexes.values())
+        )
+
+    def close(self) -> None:
+        self.client.close()
+        self.handle.stop()
+
+
+class TestInlineDispatch:
+    @pytest.mark.parametrize("mode", ["adaptive", "snapshot"])
+    def test_converged_query_runs_on_the_loop(self, mode):
+        fixture = _InlineFixture(IndexServer(size_threshold=256))
+        try:
+            fixture.query(WIRE_BOUNDS[0], mode=mode)  # creates the index
+            assert fixture.threads[0].startswith("repro-serve_")
+            fixture.converge()
+            fixture.threads.clear()
+            for bounds in WIRE_BOUNDS:
+                fixture.query(bounds, mode=mode)
+            assert fixture.threads == [fixture.loop_thread] * len(WIRE_BOUNDS)
+        finally:
+            fixture.close()
+
+    @pytest.mark.parametrize("mode", ["adaptive", "snapshot"])
+    def test_held_lock_sends_the_query_to_the_executor(self, mode):
+        fixture = _InlineFixture(IndexServer(size_threshold=256))
+        try:
+            fixture.query(WIRE_BOUNDS[0])
+            fixture.converge()
+            fixture.threads.clear()
+            entry = fixture.entry()
+            answers = []
+            assert entry.lock.acquire_write(timeout=5)
+            try:
+                waiter = threading.Thread(
+                    target=lambda: answers.append(
+                        fixture.query(WIRE_BOUNDS[1], mode=mode)
+                    )
+                )
+                waiter.start()
+                deadline = time.monotonic() + 5
+                while not fixture.threads and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                assert fixture.threads, "the query never reached execute"
+                # The query waits on the executor; the loop still answers.
+                with ServeClient(
+                    fixture.handle.host, fixture.handle.port
+                ) as other:
+                    assert other.stats()["ok"] is True
+                assert not answers
+            finally:
+                entry.lock.release_write()
+            waiter.join(timeout=10)
+            assert not waiter.is_alive() and len(answers) == 1
+            assert fixture.threads[0].startswith("repro-serve_")
+            # Lock free again: the next query runs inline.
+            fixture.query(WIRE_BOUNDS[2], mode=mode)
+            assert fixture.threads[1:] == [fixture.loop_thread]
+        finally:
+            fixture.close()
+
+    def test_one_root_span_per_request_with_tracing(self):
+        from repro import obs
+        from repro.obs.sink import ListSink
+
+        sink = ListSink()
+        obs.enable(sink=sink, metrics=True)
+        try:
+            fixture = _InlineFixture(IndexServer(size_threshold=256))
+            try:
+                fixture.query(WIRE_BOUNDS[0], trace="first")
+                fixture.converge()
+                for position, bounds in enumerate(WIRE_BOUNDS):
+                    for mode in ("adaptive", "snapshot"):
+                        fixture.query(
+                            bounds, mode=mode, trace=f"{mode}-{position}"
+                        )
+                inline = fixture.threads.count(fixture.loop_thread)
+                calls = len(fixture.threads)
+            finally:
+                fixture.close()
+        finally:
+            obs.disable()
+            obs.REGISTRY.reset()
+        assert inline >= 2 * len(WIRE_BOUNDS)
+        roots = [
+            record for record in sink.records
+            if record["type"] == "span" and record["name"] == "serve.query"
+        ]
+        assert len(roots) == calls
+        traces = [record["attrs"].get("trace") for record in roots]
+        for trace in ["first"] + [
+            f"{mode}-{position}"
+            for position in range(len(WIRE_BOUNDS))
+            for mode in ("adaptive", "snapshot")
+        ]:
+            assert traces.count(trace) == 1, trace
+
+    def test_sharded_server_never_runs_a_query_inline(self):
+        fixture = _InlineFixture(IndexServer(size_threshold=256, shards=2))
+        try:
+            fixture.query(WIRE_BOUNDS[0])
+            fixture.converge()
+            for bounds in WIRE_BOUNDS:
+                for mode in ("adaptive", "snapshot"):
+                    fixture.query(bounds, mode=mode)
+            assert fixture.loop_thread not in fixture.threads
+            assert all(t.startswith("repro-serve_") for t in fixture.threads)
+        finally:
+            fixture.close()
+
+    def test_mixed_paths_under_contention_stay_correct(self):
+        """More clients than cores, a short switch interval, and a
+        test thread grabbing the write lock: queries split between the
+        loop and the executor, every answer matches the oracle, and the
+        lock ends free."""
+        import sys
+
+        fixture = _InlineFixture(IndexServer(size_threshold=256))
+        interval = sys.getswitchinterval()
+        try:
+            fixture.query(WIRE_BOUNDS[0])
+            fixture.converge()
+            fixture.threads.clear()
+            entry = fixture.entry()
+            want = [oracle_answer(WIRE_SPEC, b) for b in WIRE_BOUNDS]
+            errors: list = []
+            stop = time.monotonic() + 1.5
+            sys.setswitchinterval(1e-5)
+
+            def client_loop(seed: int) -> None:
+                rng = np.random.default_rng(seed)
+                with ServeClient(
+                    fixture.handle.host, fixture.handle.port, timeout=20
+                ) as client:
+                    while time.monotonic() < stop:
+                        slot = int(rng.integers(len(WIRE_BOUNDS)))
+                        mode = ("adaptive", "snapshot")[int(rng.integers(2))]
+                        try:
+                            got = client.query(
+                                fixture.session, "wire", WIRE_BOUNDS[slot],
+                                mode=mode,
+                            )
+                        except Exception as error:  # noqa: BLE001
+                            errors.append(repr(error))
+                            return
+                        if (got["count"], got["checksum"]) != want[slot]:
+                            errors.append((slot, mode, got["count"]))
+
+            clients = [
+                threading.Thread(target=client_loop, args=(seed,))
+                for seed in range(4)
+            ]
+            for thread in clients:
+                thread.start()
+            while time.monotonic() < stop:
+                assert entry.lock.acquire_write(timeout=5)
+                time.sleep(0.001)
+                entry.lock.release_write()
+                time.sleep(0.002)
+            for thread in clients:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in clients)
+        finally:
+            sys.setswitchinterval(interval)
+            fixture.close()
+        assert not errors, errors[:5]
+        assert fixture.loop_thread in fixture.threads
+        assert any(t.startswith("repro-serve_") for t in fixture.threads)
+        assert entry.lock.readers == 0 and not entry.lock.write_held
+
+    @pytest.mark.parametrize("mode", ["adaptive", "snapshot"])
+    def test_admission_refusal_releases_a_lock_taken_at_dispatch(self, mode):
+        server = IndexServer(
+            size_threshold=256, caps=AdmissionCaps(max_inflight_per_tenant=1)
+        )
+        fixture = _InlineFixture(server)
+        try:
+            fixture.query(WIRE_BOUNDS[0])
+            fixture.converge()
+            fixture.threads.clear()
+            entry = fixture.entry()
+            with server.admission.inflight("t"):  # the tenant's only slot
+                with pytest.raises(AdmissionRejected):
+                    fixture.query(WIRE_BOUNDS[1], mode=mode)
+            assert fixture.threads == [fixture.loop_thread]
+            assert entry.lock.readers == 0 and not entry.lock.write_held
+            fixture.query(WIRE_BOUNDS[1], mode=mode)
+        finally:
+            fixture.close()
