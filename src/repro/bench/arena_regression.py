@@ -52,6 +52,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .. import kernels
 from ..core.arena import arena_default, set_arena_default
 from ..core.greedy_progressive import GreedyProgressiveKDTree
 from ..core.metrics import QueryStats
@@ -291,6 +292,8 @@ def arena_metrics(
             "batch_threshold": BATCH_THRESHOLD,
             "dense_selectivity": DENSE_SELECTIVITY,
             "cpu_count": os.cpu_count(),
+            # The batch rows run the active backend's window scan.
+            "kernel_backend": kernels.active_name(),
         },
         "latency_us": {
             name: seconds / count * 1e6 for name, seconds in latency.items()

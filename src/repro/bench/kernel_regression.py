@@ -76,14 +76,22 @@ class BaselineProvenanceError(ReproError):
 #: runs mostly on the candidate list where both backends are cheap and
 #: near parity; *moderate* (12.5%) and *dense* (~73%) keep the fused
 #: backend in mask mode — the shape of an early-adaptation scan over a
-#: large piece, where fusion is designed to pay off.
+#: large piece, where fusion is designed to pay off.  *window_scan* is
+#: the residual scan of a converged batch: the same rows cut into
+#: 1024-row leaf windows, each with its own box (half of every dim-0
+#: zone, some sides implied by the path), in one ``scan_windows`` call —
+#: the operation the ``native`` backend compiles.
 OPS = (
     "piece_scan_selective",
     "piece_scan_moderate",
     "piece_scan_dense",
+    "window_scan",
     "stable_partition",
     "incremental_partition",
 )
+
+#: Rows per window of the ``window_scan`` op (the repo-default leaf size).
+_WINDOW_ROWS = 1024
 
 #: Per-dim width giving ~1% total selectivity over 3 uniform dims.
 _SELECTIVE_WIDTH = 0.01 ** (1.0 / 3.0)
@@ -107,6 +115,7 @@ def _op_thunks(
     moderate = RangeQuery([0.25] * 3, [0.75] * 3)
     dense = RangeQuery([0.05] * 3, [0.95] * 3)
     stats = QueryStats()
+    windows = _window_inputs(n, columns)
 
     def run_incremental():
         previous = kernels.active_name()
@@ -130,11 +139,27 @@ def _op_thunks(
         "piece_scan_dense": lambda: backend.range_scan(
             columns, 0, n, dense, stats
         ),
+        "window_scan": lambda: backend.scan_windows(*windows),
         "stable_partition": lambda: backend.stable_partition(
             [a.copy() for a in arrays], 0, n, 0, 0.5
         ),
         "incremental_partition": run_incremental,
     }
+
+
+def _window_inputs(n: int, columns) -> tuple:
+    """``scan_windows`` arguments cutting ``n`` rows into leaf windows."""
+    rng = np.random.default_rng(1)
+    starts = np.arange(0, n, _WINDOW_ROWS, dtype=np.int64)
+    lens = np.minimum(_WINDOW_ROWS, n - starts)
+    eff_lo = rng.random((3, starts.size)) * 0.5
+    eff_hi = eff_lo + 0.5
+    eff_lo[rng.random(eff_lo.shape) < 0.25] = -np.inf
+    eff_hi[rng.random(eff_hi.shape) < 0.25] = np.inf
+    zone_lo0 = np.zeros(starts.size)
+    zone_hi0 = np.ones(starts.size)
+    rowids = np.arange(n, dtype=np.int64)
+    return columns, rowids, starts, lens, eff_lo, eff_hi, zone_lo0, zone_hi0
 
 
 def _time_backends(
@@ -152,8 +177,8 @@ def _time_backends(
     thunks = {
         name: _op_thunks(name, n, columns, arrays) for name in backends
     }
-    # Untimed warm-up round: JIT compilation (numba), scratch-buffer
-    # allocation (fused), page-faulting the inputs.
+    # Untimed warm-up round: scratch-buffer allocation (fused, native),
+    # page-faulting the inputs.
     for name in backends:
         for op in OPS:
             thunks[name][op]()
@@ -209,11 +234,13 @@ def kernel_metrics(
     backends = list(dict.fromkeys(["reference", *backends]))
     rng = np.random.default_rng(0)
     doc: Dict[str, object] = {
+        "cpu_count": os.cpu_count(),
         "meta": {
             "n": n,
             "repeats": repeats,
             "end_to_end_rows": end_to_end_rows,
             "backends": backends,
+            "cpu_count": os.cpu_count(),
         },
         "seconds": _time_backends(backends, n, repeats, rng),
         "end_to_end_seconds": _time_end_to_end(
@@ -384,7 +411,7 @@ def compare(
     stored_n = stored["meta"]["n"]
     for name, ops in stored["seconds"].items():
         if name not in current["seconds"]:
-            # Optional backends (numba) may be absent on this machine.
+            # ``native`` is absent where no C compiler works.
             drift.notes.append(f"backend {name!r} unavailable here, skipped")
             continue
         for op, baseline_seconds in ops.items():

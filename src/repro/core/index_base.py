@@ -309,10 +309,11 @@ class BaseIndex(ABC):
         batch (KD family, converged), the remaining queries share one
         tree descent pass (vectorized over the arena when present) and
         one residual scan.  Serially that scan is one call of
-        :func:`repro.parallel.executor.scan_windows`, which sends dense
-        leaf windows through the fused kernel one by one and the sparse
-        rest through one shared vectorized pass; with workers it is one
-        morsel/proc fan-out for the whole batch.
+        :func:`repro.parallel.executor.scan_windows`: one compiled call
+        under the ``native`` kernels, otherwise dense leaf windows
+        through the fused kernel one by one and the sparse rest through
+        one shared vectorized pass; with workers it is one morsel/proc
+        fan-out for the whole batch.
 
         Per-query wall-clock ``seconds`` on the batched tail is the batch
         total divided evenly — the counters, not the clock, are the
@@ -485,8 +486,7 @@ class BaseIndex(ABC):
         check flags come from the same stored path bounds the scalar
         search compares against, and every residual window goes through
         one call of :func:`repro.parallel.executor.scan_windows` — the
-        same routed scan (fused kernel per dense window, one vectorized
-        pass over the sparse rest) the serial object path uses.  Result
+        same batch scan the serial object path uses.  Result
         arrays may be views into shared buffers; a converged index never
         reorganises rows again, so they stay valid.
         """
@@ -526,8 +526,7 @@ class BaseIndex(ABC):
             stats_list[query_index].contained += 1
 
         # Residual scans: every window the zone shortcuts could not
-        # settle goes through one routed call (dense windows run the
-        # fused kernel, sparse ones share a vectorized pass).
+        # settle goes through one batch scan call.
         parts: List[Optional[np.ndarray]] = [None] * n_leaves
         residual = np.flatnonzero(~(pruned | contained))
         if residual.size:

@@ -1,15 +1,23 @@
 """Pluggable kernel backends for the scan/partition hot loops.
 
-Every index in this package bottoms out in the same two physical
-operations — the candidate-list piece scan (Section III-A) and the
-two-way partition that moves rows during adaptation/refinement.  This
-package makes those operations pluggable: the index code calls the
-module-level dispatch functions below and a process-global registry
-decides which implementation runs.
+Every index in this package bottoms out in the same few physical
+operations — the candidate-list piece scan (Section III-A), the
+many-window residual scan that ends a converged batch, and the two-way
+partition that moves rows during adaptation/refinement.  This package
+makes those operations pluggable: the index code calls the module-level
+dispatch functions below and a process-global registry decides which
+implementation runs.
 
 Backends
 --------
-``numpy`` (default)
+``native`` (default)
+    The fused NumPy kernels plus a compiled window scan
+    (:mod:`repro.kernels.native`): every residual window of a converged
+    batch is scanned in one C call.  The C source is compiled with the
+    system compiler on first selection and cached per user; when no
+    compiler is usable, selection falls back to ``numpy`` with one
+    warning.
+``numpy``
     Fused NumPy kernels: a hybrid scan that evaluates the conjunctive
     predicate with a running full-window mask while candidate survival
     is high and falls back to candidate-list gathering once it drops,
@@ -19,15 +27,10 @@ Backends
     The original per-dimension candidate-list kernels, kept verbatim as
     the trusted baseline the property suites, the fuzzer oracle, and
     the micro-benchmarks compare against.
-``numba``
-    Optional ``@njit``-compiled scalar kernels.  Registered only when
-    :mod:`numba` is importable; selecting it without numba installed
-    silently falls back to ``numpy`` (capability probing, no hard
-    dependency — install via ``pip install -e .[fast]``).
 
 Selection
 ---------
-* environment: ``REPRO_KERNELS=numpy|reference|numba`` (read once at
+* environment: ``REPRO_KERNELS=native|numpy|reference`` (read once at
   import time);
 * programmatic: :func:`use`, or the ``kernels=`` option of
   :class:`repro.session.ExplorationSession` and
@@ -58,7 +61,6 @@ threads.
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import threading
 import time
@@ -86,11 +88,15 @@ __all__ = [
     "thread_instance",
     "get_backend",
     "range_scan",
+    "scan_windows",
     "stable_partition",
 ]
 
 #: The backend activated when nothing is requested.
-DEFAULT_BACKEND = "numpy"
+DEFAULT_BACKEND = "native"
+
+#: What :func:`use` activates instead of a backend whose probe fails.
+FALLBACK_BACKEND = "numpy"
 
 _FACTORIES: Dict[str, Callable[[], KernelBackend]] = {}
 _PROBES: Dict[str, Callable[[], bool]] = {}
@@ -154,9 +160,10 @@ def get_backend(name: str) -> KernelBackend:
 def use(name: str) -> str:
     """Activate the named backend; returns the name actually activated.
 
-    Unknown names raise.  A known-but-unavailable backend (``numba``
-    without numba installed) silently falls back to the default NumPy
-    backend, so scripts can request ``numba`` unconditionally.
+    Unknown names raise.  A known-but-unavailable backend (``native``
+    without a working C compiler) falls back to
+    :data:`FALLBACK_BACKEND`, so scripts can request ``native``
+    unconditionally; the failed build itself warns once per process.
     """
     global _ACTIVE
     if name not in _FACTORIES:
@@ -165,7 +172,7 @@ def use(name: str) -> str:
             f"registered: {sorted(_FACTORIES)}"
         )
     if name in _PROBES and not _PROBES[name]():
-        name = DEFAULT_BACKEND
+        name = FALLBACK_BACKEND
     _ACTIVE = get_backend(name)
     return name
 
@@ -278,6 +285,29 @@ def range_scan(
     )
 
 
+def scan_windows(
+    columns, rowids, starts, lens, eff_lo, eff_hi, zone_lo0, zone_hi0
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Residual scan of many row windows via the active backend; see
+    :meth:`KernelBackend.scan_windows`.  Carries the same
+    observability hook as :func:`range_scan` (op ``scan_windows``, rows
+    summed over the windows)."""
+    backend = getattr(_TLS, "pinned", None) or _ACTIVE
+    if obs_trace.ENABLED or obs_metrics.ENABLED:
+        return _observed_call(
+            "scan_windows",
+            int(np.sum(lens)),
+            backend,
+            lambda: backend.scan_windows(
+                columns, rowids, starts, lens, eff_lo, eff_hi,
+                zone_lo0, zone_hi0,
+            ),
+        )
+    return backend.scan_windows(
+        columns, rowids, starts, lens, eff_lo, eff_hi, zone_lo0, zone_hi0
+    )
+
+
 def stable_partition(
     arrays: Sequence[np.ndarray],
     start: int,
@@ -342,28 +372,27 @@ def _observed_call(
 
 # ---------------------------------------------------------------- registry
 
-def _numba_importable() -> bool:
-    try:
-        return importlib.util.find_spec("numba") is not None
-    except (ImportError, ValueError):
-        return False
-
-
 def _make_fused() -> KernelBackend:
     from .fused import FusedNumpyBackend
 
     return FusedNumpyBackend()
 
 
-def _make_numba() -> KernelBackend:
-    from .numba_backend import NumbaBackend
+def _make_native() -> KernelBackend:
+    from .native import NativeBackend
 
-    return NumbaBackend()
+    return NativeBackend()
 
 
+def _native_available() -> bool:
+    from . import native
+
+    return native.available()
+
+
+register("native", _make_native, probe=_native_available)
 register("numpy", _make_fused)
 register("reference", ReferenceBackend)
-register("numba", _make_numba, probe=_numba_importable)
 
 _requested = os.environ.get("REPRO_KERNELS", DEFAULT_BACKEND)
 if _requested not in _FACTORIES:

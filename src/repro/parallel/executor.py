@@ -517,8 +517,8 @@ def batch_scan_serial() -> bool:
 
 
 def _scan_match_sets_fused(index_table, jobs) -> List[List[np.ndarray]]:
-    """Serial batch scan: zone shortcuts per pair, then one routed
-    residual scan (:func:`scan_windows`) over every pair they left.
+    """Serial batch scan: zone shortcuts per pair, then one residual
+    scan (:func:`scan_windows`) over every pair they left.
 
     Bit-identical to ``index_table.scan_piece`` per (query, piece) pair
     — same parts, same per-query counter charges — but the residual
@@ -608,176 +608,20 @@ def _scan_pairs(index_table, pairs) -> List[np.ndarray]:
     return parts
 
 
-#: Estimated dim-0 survivors at which a residual window leaves the
-#: shared vectorized pass of :func:`scan_windows` for a fused-kernel
-#: call of its own.  The vectorized pass pays a search and a gather per
-#: dim-0 survivor and per later dimension; a kernel call pays ~15 us of
-#: fixed cost, then cheap full-window mask passes.  Measured per batch
-#: over the captured ``scan_windows`` inputs of B=64 uniform ``random``
-#: windows on converged GPKD indexes (1e6 uniform rows, best of 15,
-#: 2-vCPU x86 host).  "est" is the median estimated survivors per
-#: window, "to kernel" the share of windows at or above 400; times are
-#: ms with every window vectorized, every window on the kernel, and
-#: routed by this constant:
-#:
-#:   d  threshold  selectivity  windows  est  to kernel  vector  kernel  routed
-#:   3       1024         1e-7       72   72         0%    0.55    1.88    0.58
-#:   3       1024         1e-5      116  305         0%    2.97    2.97    2.85
-#:   3       1024         1e-4      174  450        55%    5.90    4.46    4.03
-#:   3       1024         1e-3      397  710        78%   22.29   10.31    9.91
-#:   3       1024         1e-2     1664  954        88%   89.75   26.12   28.19
-#:   3       1024         1e-1     6631  966        93%  503.94   93.95   94.33
-#:   2       1024         1e-4      105  309         0%    1.11    1.49    1.12
-#:   2       1024         1e-3      262  483        55%    4.62    3.05    2.78
-#:   2       1024         1e-2      795  757        68%   20.87    9.63    9.44
-#:   2        256         1e-7       71    5         0%    0.11    0.77    0.11
-#:   2        256         1e-2     1629  176         0%   10.79   14.46   11.14
-#:   3        256         1e-1    17365  227         0%  246.94  171.11  241.39
-#:
-#: A threshold of 300 lost 1.38x to the better route (3-d, 1e-5) and
-#: 600 lost 1.22x (2-d threshold 1024, 1e-1); 400 stays within noise of
-#: the better route everywhere except the last row, where windows too
-#: small for the kernel add up to a vectorized pass far larger than the
-#: caches.
-KERNEL_MIN_SURVIVORS = 400
-
-
-class _WindowQuery:
-    """The query view a kernel backend reads, built from one window's
-    effective bounds: a ``±inf`` side is exactly a side the kernel
-    skips, so no check flags are needed."""
-
-    __slots__ = ("lows_f", "highs_f", "finite_lows", "finite_highs", "n_dims")
-
-    def __init__(self, lows, highs, finite_lows, finite_highs) -> None:
-        self.lows_f = lows
-        self.highs_f = highs
-        self.finite_lows = finite_lows
-        self.finite_highs = finite_highs
-        self.n_dims = len(lows)
-
-
-class _Charge:
-    """Stand-in stats record: the kernels only charge ``scanned``."""
-
-    __slots__ = ("scanned",)
-
-
 def scan_windows(
     columns, rowids, starts, lens, eff_lo, eff_hi, zone_lo0, zone_hi0
 ) -> Tuple[List[np.ndarray], np.ndarray]:
     """Residual scan of many row windows, shared by :func:`_scan_pairs`
-    and the arena batch path; the one place a batch picks its scan route.
-
-    Scans ``n`` row windows (``starts[i] : starts[i] + lens[i]``)
-    against per-window effective bounds ``(eff_lo, eff_hi)`` of shape
-    ``(n_dims, n)``; a side the caller does not need checked must hold
-    ``±inf``.  ``zone_lo0`` / ``zone_hi0`` are each window's dim-0 zone
-    bounds (NaN where a piece has none) and only steer the route.
-
-    Each window's dim-0 survivors are estimated as its rows times the
-    share of its dim-0 zone the query keeps (all of it when dim 0 is
-    unchecked; a NaN zone fails the test).  Windows estimated at
-    :data:`KERNEL_MIN_SURVIVORS` or more run one call each of the pinned
-    kernel backend's ``range_scan``; the rest share one vectorized pass
-    (:func:`_vector_windows`).  Both routes return the same rows and
-    charge the same backend-invariant ``stats.scanned``.
+    and the arena batch path: one call of the pinned kernel backend's
+    :meth:`~repro.kernels.reference.KernelBackend.scan_windows` (the
+    routed NumPy scan, or one compiled call under ``native``).
 
     Returns ``(parts, scanned)``: each window's qualifying rowids in
     window order, and each window's ``stats.scanned`` charge.
     """
-    n_pairs = starts.size
-    dense = lens >= KERNEL_MIN_SURVIVORS
-    if dense.any():
-        kept = np.minimum(eff_hi[0], zone_hi0) - np.maximum(eff_lo[0], zone_lo0)
-        dense &= lens * kept >= KERNEL_MIN_SURVIVORS * (zone_hi0 - zone_lo0)
-    if not dense.any():
-        return _vector_windows(columns, rowids, starts, lens, eff_lo, eff_hi)
-    parts: List[np.ndarray] = [_EMPTY_IDS] * n_pairs
-    scanned = np.zeros(n_pairs, dtype=np.int64)
-    sparse = np.flatnonzero(~dense)
-    if sparse.size:
-        sparse_parts, scanned[sparse] = _vector_windows(
-            columns, rowids, starts[sparse], lens[sparse],
-            eff_lo[:, sparse], eff_hi[:, sparse],
-        )
-        for position, part in zip(sparse.tolist(), sparse_parts):
-            parts[position] = part
-    charge = _Charge()
-    picked = np.flatnonzero(dense)
-    lows = eff_lo[:, picked].T
-    highs = eff_hi[:, picked].T
-    for position, start, length, low, high, finite_low, finite_high in zip(
-        picked.tolist(),
-        starts[picked].tolist(),
-        lens[picked].tolist(),
-        lows.tolist(),
-        highs.tolist(),
-        np.isfinite(lows).tolist(),
-        np.isfinite(highs).tolist(),
-    ):
-        charge.scanned = 0
-        positions = kernels.range_scan(
-            columns,
-            start,
-            start + length,
-            _WindowQuery(low, high, finite_low, finite_high),
-            charge,
-        )
-        parts[position] = rowids.take(positions)
-        scanned[position] = charge.scanned
-    return parts, scanned
-
-
-def _vector_windows(
-    columns, rowids, starts, lens, eff_lo, eff_hi
-) -> Tuple[List[np.ndarray], np.ndarray]:
-    """One vectorized pass over many windows: the sparse route of
-    :func:`scan_windows`, returning the same ``(parts, scanned)``.
-
-    The first dimension is evaluated across the full concatenated
-    window; later dimensions only touch the surviving candidate list —
-    the vector twin of the kernels' density switch.  ``scanned`` follows
-    the kernel accounting rules: the full window for the first checked
-    dimension, the pre-filter survivor count for each later checked one.
-    """
-    n_pairs = starts.size
-    n_dims = eff_lo.shape[0]
-    checked = np.isfinite(eff_lo) | np.isfinite(eff_hi)
-    cat_end = np.cumsum(lens)
-    scanned = np.where(checked[0], lens, 0)
-    column0 = columns[0]
-    starts_list = starts.tolist()
-    values = np.concatenate(
-        [
-            column0[start : start + length]
-            for start, length in zip(starts_list, lens.tolist())
-        ]
+    return kernels.scan_windows(
+        columns, rowids, starts, lens, eff_lo, eff_hi, zone_lo0, zone_hi0
     )
-    bounds0 = np.repeat(np.vstack((eff_lo[0], eff_hi[0])), lens, axis=1)
-    keep = values > bounds0[0]
-    keep &= values <= bounds0[1]
-    survivors_cat = np.flatnonzero(keep)
-    cand_pair = np.searchsorted(cat_end, survivors_cat, side="right")
-    # Concatenated index -> absolute row position, per surviving row.
-    cand_pos = survivors_cat + (starts - cat_end + lens).take(cand_pair)
-    for dim in range(1, n_dims):
-        if checked[dim].any():
-            survivors = np.bincount(cand_pair, minlength=n_pairs)
-            scanned += np.where(checked[dim], survivors, 0)
-        values = columns[dim].take(cand_pos)
-        keep = values > eff_lo[dim].take(cand_pair)
-        keep &= values <= eff_hi[dim].take(cand_pair)
-        cand_pos = cand_pos[keep]
-        cand_pair = cand_pair[keep]
-    ids = rowids.take(cand_pos)
-    bounds = np.zeros(n_pairs + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cand_pair, minlength=n_pairs), out=bounds[1:])
-    bounds_list = bounds.tolist()
-    return [
-        ids[bounds_list[position] : bounds_list[position + 1]]
-        for position in range(n_pairs)
-    ], scanned
 
 
 def _chunk_tagged(tagged, total_rows: int, workers: int) -> List[list]:

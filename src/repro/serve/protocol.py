@@ -49,7 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +62,7 @@ __all__ = [
     "TABLE_KINDS",
     "TableSpec",
     "answer_checksum",
+    "sorted_answer",
     "encode_frame",
     "decode_frame",
     "error_response",
@@ -166,8 +167,14 @@ class TableSpec:
 
 def answer_checksum(row_ids: np.ndarray) -> str:
     """Canonical, order-independent fingerprint of a query answer."""
+    return sorted_answer(row_ids)[1]
+
+
+def sorted_answer(row_ids: np.ndarray) -> Tuple[np.ndarray, str]:
+    """The answer's row ids sorted ascending as int64, and their
+    :func:`answer_checksum`, from one sort."""
     ordered = np.sort(np.asarray(row_ids, dtype=np.int64))
-    return hashlib.sha1(ordered.tobytes()).hexdigest()
+    return ordered, hashlib.sha1(ordered.tobytes()).hexdigest()
 
 
 def encode_frame(payload: Dict[str, object]) -> bytes:

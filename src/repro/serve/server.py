@@ -88,6 +88,7 @@ from .protocol import (
     encode_frame,
     error_response,
     ok_response,
+    sorted_answer,
 )
 from .scheduler import RefinementScheduler
 
@@ -104,6 +105,17 @@ def _index_key(session_id: str, table: str, group: Tuple[str, ...]) -> str:
     the metrics registry's ``name{k=v,...}`` key rendering round-trip.
     """
     return f"{session_id}/{table}/{'+'.join(group)}"
+
+
+def _checksum_and_ids(
+    row_ids: np.ndarray, return_ids: bool
+) -> Tuple[str, Optional[List[int]]]:
+    """An answer's checksum, plus its sorted id list when the client
+    asked for the ids — one sort either way."""
+    if not return_ids:
+        return answer_checksum(row_ids), None
+    ordered, checksum = sorted_answer(row_ids)
+    return checksum, ordered.tolist()
 
 
 def _thread_kernels() -> kernels.pinned:
@@ -667,17 +679,16 @@ class IndexServer:
             if open_pieces is not None:
                 instruments["open_pieces"].set(open_pieces)
             instruments["converged"].set(int(bool(entry.index.converged)))
+        checksum, id_list = _checksum_and_ids(row_ids, return_ids)
         response: Dict[str, object] = {
             "count": int(row_ids.size),
-            "checksum": answer_checksum(row_ids),
+            "checksum": checksum,
             "seconds": elapsed,
             "mode": mode,
             "columns": list(group_key),
         }
         if return_ids:
-            response["row_ids"] = np.sort(
-                np.asarray(row_ids, dtype=np.int64)
-            ).tolist()
+            response["row_ids"] = id_list
         return response
 
     def execute_batch(
@@ -693,7 +704,7 @@ class IndexServer:
         index's writer lock once and runs :meth:`~repro.core.index_base.
         BaseIndex.query_batch` — so a converged KD index answers the
         whole group with one shared (arena-vectorized) descent and one
-        routed residual scan instead of per-request lock/dispatch round
+        batch residual scan instead of per-request lock/dispatch round
         trips.  Batches always run in adaptive mode: while the index
         still adapts the batch drains sequentially inside
         ``query_batch``, with adaptation order identical to separate
@@ -738,17 +749,18 @@ class IndexServer:
                 finally:
                     entry.lock.release_write()
                 for slot, answer in zip(slots, answers):
+                    checksum, id_list = _checksum_and_ids(
+                        answer.row_ids, return_ids
+                    )
                     payload: Dict[str, object] = {
                         "count": answer.count,
-                        "checksum": answer_checksum(answer.row_ids),
+                        "checksum": checksum,
                         "seconds": answer.stats.seconds,
                         "converged": bool(answer.stats.converged),
                         "columns": list(group_key),
                     }
                     if return_ids:
-                        payload["row_ids"] = np.sort(
-                            np.asarray(answer.row_ids, dtype=np.int64)
-                        ).tolist()
+                        payload["row_ids"] = id_list
                     payloads[slot] = payload
         elapsed = time.perf_counter() - begin
         share = elapsed / len(resolved)

@@ -160,11 +160,11 @@ class ExplorationSession:
     size_threshold, delta, tau:
         Forwarded to the underlying indexes.
     kernels:
-        Kernel backend for the scan/partition hot loops (``numpy``,
-        ``reference``, or ``numba``; see :mod:`repro.kernels`).  ``None``
+        Kernel backend for the scan/partition hot loops (``native``,
+        ``numpy``, or ``reference``; see :mod:`repro.kernels`).  ``None``
         keeps whatever is active (the default, or ``REPRO_KERNELS``).
-        Requesting ``numba`` without numba installed silently falls back
-        to the fused NumPy backend.  The dispatch is process-global, so
+        Requesting ``native`` where it cannot be built falls back to the
+        fused NumPy backend.  The dispatch is process-global, so
         the setting affects every session in the process.
     validate:
         Debug mode: after *every* query, run the full structural

@@ -301,9 +301,11 @@ class TestQueryBatch:
 
 
 class TestBatchRouting:
-    """``executor.scan_windows`` sends dense residual windows to the fused
-    kernel and sparse ones through the shared vectorized pass; one batch
-    mixing both must answer and count exactly like per-query dispatch."""
+    """The batch residual scan (``KernelBackend.scan_windows``) sends
+    dense windows to the backend's ``range_scan`` and sparse ones through
+    the shared vectorized pass; ``native`` scans them all in one compiled
+    call.  One batch mixing both kinds must answer and count exactly like
+    per-query dispatch."""
 
     ROWS = 60_000
     THRESHOLD = 1_024
@@ -331,11 +333,13 @@ class TestBatchRouting:
         return queries
 
     @pytest.mark.parametrize("arena", [True, False], ids=["arena", "object"])
-    @pytest.mark.parametrize("kernel", ["numpy", "reference"])
+    @pytest.mark.parametrize("kernel", ["native", "numpy", "reference"])
     def test_mixed_routes_match_per_query(self, monkeypatch, arena, kernel):
         from repro import kernels
-        from repro.parallel import executor
+        from repro.kernels import reference
 
+        if kernel not in kernels.available_backends():
+            pytest.skip(f"{kernel} kernels unavailable here")
         previous = kernels.active_name()
         kernels.use(kernel)
         set_arena_default(arena)
@@ -347,9 +351,11 @@ class TestBatchRouting:
             queries = self._mixed_batch(2)
             want = [sequential.query(query) for query in queries]
 
-            routes = {"kernel": 0, "vector": 0}
-            range_scan = kernels.range_scan
-            vector_windows = executor._vector_windows
+            routes = {"kernel": 0, "vector": 0, "windows": 0}
+            backend = kernels.active_backend()
+            range_scan = backend.range_scan
+            vector_windows = reference._vector_windows
+            scan_windows = backend.scan_windows
 
             def counted_scan(*args, **kwargs):
                 routes["kernel"] += 1
@@ -359,12 +365,22 @@ class TestBatchRouting:
                 routes["vector"] += 1
                 return vector_windows(*args, **kwargs)
 
-            monkeypatch.setattr(kernels, "range_scan", counted_scan)
-            monkeypatch.setattr(executor, "_vector_windows", counted_vector)
+            def counted_windows(*args, **kwargs):
+                routes["windows"] += 1
+                return scan_windows(*args, **kwargs)
+
+            monkeypatch.setattr(backend, "range_scan", counted_scan)
+            monkeypatch.setattr(reference, "_vector_windows", counted_vector)
+            monkeypatch.setattr(backend, "scan_windows", counted_windows)
             got = batched.query_batch(queries)
         finally:
             kernels.use(previous)
-        assert routes["kernel"] > 1 and routes["vector"] == 1
+        assert routes["windows"] == 1
+        if kernel == "native":
+            # Every residual window went through the one compiled call.
+            assert routes["kernel"] == 0 and routes["vector"] == 0
+        else:
+            assert routes["kernel"] > 1 and routes["vector"] == 1
         assert (batched.tree.arena is not None) == arena
         for result, expected in zip(got, want):
             assert np.array_equal(result.row_ids, expected.row_ids)

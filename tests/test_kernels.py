@@ -1,12 +1,20 @@
-"""The kernel backend registry, dispatch, and leaf zone maps.
+"""The kernel backend registry, dispatch, the window scan, and leaf zone maps.
 
 Covers the pluggable-kernel contract end to end: registry/probe
-behaviour (unknown names raise, unavailable backends fall back
-silently), the session/harness selection hooks, and the zone-map
+behaviour (unknown names raise, an unbuildable ``native`` falls back to
+``numpy`` with one warning), the native library cache, the batch window
+scan on adversarial inputs, the session/harness selection hooks, and the zone-map
 shortcuts — pruning and containment must change *work counters only*,
 never answers, and containment must hand out an independent copy of the
 rowid range (a view would be corrupted by later partitioning).
 """
+
+import json
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,11 +49,14 @@ def _restore_active_backend():
 
 # ------------------------------------------------------------------ registry
 
-def test_default_backend_is_fused_numpy():
-    assert kernels.DEFAULT_BACKEND == "numpy"
+def test_default_backend_is_native():
+    assert kernels.DEFAULT_BACKEND == "native"
+    assert kernels.FALLBACK_BACKEND == "numpy"
+    assert sorted(kernels.registered_backends()) == [
+        "native", "numpy", "reference"
+    ]
     assert "numpy" in kernels.available_backends()
     assert "reference" in kernels.available_backends()
-    assert "numba" in kernels.registered_backends()
 
 
 def test_unknown_backend_raises():
@@ -55,13 +66,69 @@ def test_unknown_backend_raises():
         kernels.get_backend("vectorwise")
 
 
-def test_unavailable_backend_falls_back_silently():
-    activated = kernels.use("numba")
-    if "numba" in kernels.available_backends():
-        assert activated == "numba"
-    else:
-        assert activated == kernels.DEFAULT_BACKEND
-        assert kernels.active_name() == kernels.DEFAULT_BACKEND
+_FALLBACK_SCRIPT = """
+import json, warnings
+import numpy as np
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    from repro import kernels
+    requested = kernels.use("native")
+    available = kernels.available_backends()
+from repro.core.greedy_progressive import GreedyProgressiveKDTree
+from repro.core.query import RangeQuery
+from repro.core.table import Table
+rng = np.random.default_rng(5)
+index = GreedyProgressiveKDTree(
+    Table([rng.random(20_000) * 100.0 for _ in range(3)]),
+    delta=1.0, size_threshold=256,
+)
+while not index.converged:
+    lows = rng.random(3) * 90.0
+    index.query(RangeQuery(lows, lows + 10.0))
+queries = [RangeQuery(lows, lows + 20.0) for lows in rng.random((16, 3)) * 80.0]
+print(json.dumps({
+    "active": kernels.active_name(),
+    "requested": requested,
+    "available": available,
+    "warnings": [str(w.message) for w in caught
+                 if issubclass(w.category, RuntimeWarning)],
+    "answers": [
+        [r.row_ids.tolist(), r.stats.scanned] for r in index.query_batch(queries)
+    ],
+}))
+"""
+
+
+def _run_fallback_script(env_updates):
+    env = dict(os.environ)
+    env.pop("REPRO_KERNELS", None)
+    env.update(env_updates)
+    env["PYTHONPATH"] = str(Path(kernels.__file__).resolve().parents[2])
+    done = subprocess.run(
+        [sys.executable, "-c", _FALLBACK_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_unbuildable_native_falls_back_to_numpy(tmp_path):
+    """No compiler and a cold cache: ``numpy`` runs, one warning says
+    why, and the answers and charges equal a working build's."""
+    broken = _run_fallback_script(
+        {"CC": "/nonexistent", "XDG_CACHE_HOME": str(tmp_path / "cold")}
+    )
+    assert broken["active"] == "numpy"
+    assert broken["requested"] == "numpy"
+    assert "native" not in broken["available"]
+    assert len(broken["warnings"]) == 1
+    assert "native kernel backend unavailable" in broken["warnings"][0]
+    if "native" not in kernels.available_backends():
+        pytest.skip("no working C compiler here to compare against")
+    working = _run_fallback_script({"XDG_CACHE_HOME": str(tmp_path / "warm")})
+    assert working["active"] == "native"
+    assert working["warnings"] == []
+    assert broken["answers"] == working["answers"]
 
 
 def test_use_returns_and_activates():
@@ -260,3 +327,192 @@ def test_all_indexes_agree_across_backends(backend_name, small_uniform_workload)
         s.result_count for s in want.stats
     ]
     assert got.node_counts == want.node_counts
+
+
+# ------------------------------------------------------- batch window scan
+
+needs_native = pytest.mark.skipif(
+    "native" not in kernels.available_backends(),
+    reason="no working C compiler for the native kernels",
+)
+
+
+def _oracle_windows(columns, rowids, starts, lens, eff_lo, eff_hi):
+    """Literal transcription of the window-scan contract: a side is
+    checked when its bound is finite, a dimension with no checked side
+    is skipped, ``low < x <= high`` otherwise; the charge is the full
+    window for the first checked dimension and the survivors so far for
+    each later one."""
+    parts, scanned = [], []
+    for window, (start, length) in enumerate(zip(starts, lens)):
+        keep = np.ones(length, dtype=bool)
+        charge = 0
+        first = True
+        for dim, column in enumerate(columns):
+            low, high = eff_lo[dim, window], eff_hi[dim, window]
+            if not np.isfinite(low) and not np.isfinite(high):
+                continue
+            charge += length if first else int(keep.sum())
+            first = False
+            values = column[start : start + length]
+            if np.isfinite(low):
+                keep &= values > low
+            if np.isfinite(high):
+                keep &= values <= high
+        parts.append(rowids[start + np.flatnonzero(keep)])
+        scanned.append(charge)
+    return parts, np.array(scanned, dtype=np.int64)
+
+
+def _adversarial_windows(n_dims, seed):
+    """Windows over columns laced with NaN, duplicates and bound-equal
+    values; bounds mix ±inf, -0.0/0.0, exact data values and empty
+    ranges; some windows are empty and some check no dimension."""
+    rng = np.random.default_rng(seed)
+    n_rows = 6_000
+    columns = []
+    for _ in range(n_dims):
+        column = rng.integers(-3, 4, n_rows).astype(np.float64)
+        column[rng.random(n_rows) < 0.3] = rng.random() * 4 - 2
+        column[rng.random(n_rows) < 0.05] = np.nan
+        column[rng.random(n_rows) < 0.02] = -0.0
+        columns.append(column)
+    rowids = rng.permutation(n_rows).astype(np.int64)
+    n_windows = 40
+    starts = rng.integers(0, n_rows - 1_000, n_windows).astype(np.int64)
+    lens = rng.integers(0, 1_000, n_windows).astype(np.int64)
+    lens[:3] = 0  # empty windows
+    lens[3:12] = 900  # long enough for the dense NumPy route
+    choices = np.array([-np.inf, np.inf, -0.0, 0.0, -1.0, 1.0, 2.0, 0.5])
+    eff_lo = rng.choice(choices, (n_dims, n_windows))
+    eff_hi = rng.choice(choices, (n_dims, n_windows))
+    eff_lo[:, 5] = -np.inf  # a window that checks no dimension
+    eff_hi[:, 5] = np.inf
+    eff_lo[:, 6:12] = -1.5  # wide windows: many dim-0 survivors
+    eff_hi[:, 6:12] = 3.0
+    zone_lo0 = np.full(n_windows, -3.0)
+    zone_hi0 = np.full(n_windows, 3.0)
+    zone_lo0[::4] = np.nan  # pieces without a zone map
+    zone_hi0[::4] = np.nan
+    return columns, rowids, starts, lens, eff_lo, eff_hi, zone_lo0, zone_hi0
+
+
+@pytest.mark.parametrize("n_dims", [1, 2, 3, 8, 9])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_window_scan_backends_agree_on_adversarial_windows(n_dims, seed):
+    args = _adversarial_windows(n_dims, seed)
+    want_parts, want_scanned = _oracle_windows(*args[:6])
+    for name in kernels.available_backends():
+        parts, scanned = kernels.get_backend(name).scan_windows(*args)
+        assert len(parts) == len(want_parts), name
+        for got, want in zip(parts, want_parts):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), name
+        assert scanned.tolist() == want_scanned.tolist(), name
+
+
+def test_window_scan_bound_equal_values_and_no_checked_dimension():
+    column = np.array([1.0, 2.0, np.nan, -0.0, 0.0, 3.0])
+    rowids = np.arange(6, dtype=np.int64) * 10
+    starts = np.array([0, 0, 0], dtype=np.int64)
+    lens = np.array([6, 6, 6], dtype=np.int64)
+    eff_lo = np.array([[1.0, -np.inf, -0.0]])
+    eff_hi = np.array([[2.0, np.inf, np.inf]])
+    nan = np.full(3, np.nan)
+    for name in kernels.available_backends():
+        parts, scanned = kernels.get_backend(name).scan_windows(
+            [column], rowids, starts, lens, eff_lo, eff_hi, nan, nan
+        )
+        # == low excluded, == high included; no checked side keeps every
+        # row (NaN too) at no charge; -0.0 == 0.0 is not above -0.0.
+        assert [part.tolist() for part in parts] == [
+            [10], [0, 10, 20, 30, 40, 50], [0, 10, 50]
+        ], name
+        assert scanned.tolist() == [6, 0, 6], name
+
+
+@pytest.mark.parametrize("name", ["native", "numpy", "reference"])
+def test_window_scan_of_no_windows(name):
+    if name not in kernels.available_backends():
+        pytest.skip(f"{name} kernels unavailable here")
+    empty_f = np.empty((2, 0))
+    parts, scanned = kernels.get_backend(name).scan_windows(
+        [np.zeros(4), np.zeros(4)], np.arange(4, dtype=np.int64),
+        np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+        empty_f, empty_f, np.empty(0), np.empty(0),
+    )
+    assert parts == []
+    assert scanned.dtype == np.int64 and scanned.shape == (0,)
+
+
+@needs_native
+def test_native_window_scan_rejects_out_of_range_windows():
+    backend = kernels.get_backend("native")
+    columns = [np.zeros(10), np.zeros(10)]
+    rowids = np.arange(10, dtype=np.int64)
+    bounds = np.zeros((2, 1))
+    nan = np.full(1, np.nan)
+    for starts, lens, lows in (
+        ([8], [3], bounds),  # runs past the columns
+        ([-1], [2], bounds),  # starts before them
+        ([0], [4], np.zeros((1, 1))),  # bounds for one dimension of two
+    ):
+        with pytest.raises(ValueError, match="out of range"):
+            backend.scan_windows(
+                columns, rowids, np.array(starts, dtype=np.int64),
+                np.array(lens, dtype=np.int64), lows, bounds, nan, nan,
+            )
+
+
+@needs_native
+def test_float32_table_takes_the_inherited_path(monkeypatch):
+    from repro.core.greedy_progressive import GreedyProgressiveKDTree
+
+    backend = kernels.get_backend("native")
+
+    def refuse(*args):
+        raise AssertionError("float32 columns reached the C kernel")
+
+    monkeypatch.setattr(backend, "_scan", refuse)
+    rng = np.random.default_rng(8)
+    columns = [rng.random(8_000) * 100.0 for _ in range(2)]
+    queries = [RangeQuery(lows, lows + 30.0) for lows in rng.random((8, 2)) * 60]
+    results = {}
+    for name in ("native", "reference"):
+        kernels.use(name)
+        index = GreedyProgressiveKDTree(
+            Table(columns, dtype=np.float32), delta=1.0, size_threshold=128
+        )
+        while not index.converged:
+            index.query(RangeQuery([0.0, 0.0], [50.0, 50.0]))
+        results[name] = index.query_batch(queries)
+    for got, want in zip(results["native"], results["reference"]):
+        assert np.array_equal(got.row_ids, want.row_ids)
+        assert got.stats.scanned == want.stats.scanned
+
+
+@needs_native
+def test_native_cache_is_never_loaded_when_shared(tmp_path, monkeypatch):
+    from repro.kernels import native
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    native._load()  # builds into a fresh private directory
+    directory = native.cache_dir()
+    (library,) = directory.glob("native_scan-*.so")
+    assert stat.S_IMODE(directory.stat().st_mode) == 0o700
+
+    def refuse(path):
+        raise AssertionError(f"loaded {path} from a shared location")
+
+    monkeypatch.setattr(native.ctypes, "CDLL", refuse)
+    for target, mode in (
+        (directory, 0o770), (directory, 0o777),
+        (library, 0o720), (library, 0o702),
+    ):
+        previous = stat.S_IMODE(target.stat().st_mode)
+        target.chmod(mode)
+        try:
+            with pytest.raises(native.NativeBuildError, match="private"):
+                native._load()
+        finally:
+            target.chmod(previous)

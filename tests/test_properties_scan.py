@@ -11,7 +11,9 @@ Additionally, every *registered and available* kernel backend
 (:mod:`repro.kernels`) must be behaviourally indistinguishable from the
 ``reference`` backend: bit-identical positions in the same order and
 identical ``QueryStats`` work counters, for arbitrary sub-windows and
-arbitrary residual-check flags.
+arbitrary residual-check flags — and the same holds for the batch
+window scan (``scan_windows``), whose every window must equal a
+reference ``range_scan`` of that window.
 """
 
 import numpy as np
@@ -157,6 +159,57 @@ def test_every_backend_is_bit_identical_to_reference(backend_name, case, seed):
     assert got_stats.scanned == want_stats.scanned
     assert got_stats.copied == want_stats.copied
     assert got_stats.swapped == want_stats.swapped
+
+
+class _Bounds:
+    """The query view ``range_scan`` reads, from one window's bounds."""
+
+    def __init__(self, lows, highs):
+        self.lows_f = lows
+        self.highs_f = highs
+        self.finite_lows = tuple(bool(f) for f in np.isfinite(lows))
+        self.finite_highs = tuple(bool(f) for f in np.isfinite(highs))
+        self.n_dims = len(lows)
+
+
+@pytest.mark.parametrize("backend_name", kernels.available_backends())
+@given(case=scan_case(), seed=st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=100, deadline=None)
+def test_every_backend_window_scan_matches_reference(backend_name, case, seed):
+    """Each window of one ``scan_windows`` call returns the rowids at the
+    reference ``range_scan`` positions of that window, in order, with the
+    same ``scanned`` charge; NaN values and unchecked (``±inf``) sides
+    included."""
+    columns, query = case
+    n_rows = int(columns[0].shape[0])
+    rng = np.random.default_rng(seed)
+    if n_rows and rng.integers(0, 2):
+        for column in columns:
+            column[rng.random(n_rows) < 0.1] = np.nan
+    rowids = rng.permutation(n_rows).astype(np.int64)
+    n_windows = int(rng.integers(0, 6))
+    starts = rng.integers(0, n_rows + 1, n_windows).astype(np.int64)
+    lens = (rng.random(n_windows) * (n_rows - starts + 1)).astype(np.int64)
+    # Residual-check flags become infinite effective bounds.
+    eff_lo = np.tile(np.asarray(query.lows_f, float)[:, None], n_windows)
+    eff_hi = np.tile(np.asarray(query.highs_f, float)[:, None], n_windows)
+    eff_lo[rng.random(eff_lo.shape) < 0.3] = -np.inf
+    eff_hi[rng.random(eff_hi.shape) < 0.3] = np.inf
+    zone = np.full(n_windows, np.nan)
+    parts, scanned = kernels.get_backend(backend_name).scan_windows(
+        columns, rowids, starts, lens, eff_lo, eff_hi, zone, zone
+    )
+    reference = kernels.get_backend("reference")
+    assert len(parts) == n_windows
+    for window in range(n_windows):
+        stats = QueryStats()
+        start = int(starts[window])
+        positions = reference.range_scan(
+            columns, start, start + int(lens[window]),
+            _Bounds(eff_lo[:, window], eff_hi[:, window]), stats,
+        )
+        assert np.array_equal(parts[window], rowids[positions])
+        assert int(scanned[window]) == stats.scanned
 
 
 @given(scan_case())

@@ -430,6 +430,41 @@ class TestIndexServerCore:
         finally:
             server.close()
 
+    def test_return_ids_sorts_each_answer_once(self, monkeypatch):
+        from repro.serve import server as server_module
+
+        sorts = []
+        real = server_module.sorted_answer
+
+        def counted(row_ids):
+            sorts.append(len(row_ids))
+            return real(row_ids)
+
+        def refuse(row_ids):
+            raise AssertionError("the id payload sorted the answer twice")
+
+        monkeypatch.setattr(server_module, "sorted_answer", counted)
+        monkeypatch.setattr(server_module, "answer_checksum", refuse)
+        server, _ = _spec_server()
+        try:
+            session = server.open_session("a")
+            bounds = [{"c0": (10.0, 40.0)}, {"c0": (50.0, 70.0)}]
+            single = server.execute_query(
+                session, "t", bounds[0], return_ids=True
+            )
+            batch = server.execute_batch(
+                session, "t", bounds, return_ids=True
+            )["results"]
+            assert len(sorts) == 3
+            for response in [single, *batch]:
+                ids = np.asarray(response["row_ids"], dtype=np.int64)
+                assert np.all(ids[1:] > ids[:-1])
+                assert real(ids)[1] == response["checksum"]
+                assert ids.size == response["count"]
+            assert single["row_ids"] == batch[0]["row_ids"]
+        finally:
+            server.close()
+
     def test_column_subsets_get_separate_indexes(self):
         server, _ = _spec_server()
         try:
